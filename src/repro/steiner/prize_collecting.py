@@ -313,23 +313,30 @@ class _PCGreedyHeuristic:
 def mwcs_to_pcstp(graph: SteinerGraph, weights: np.ndarray) -> tuple[PCSTP, float]:
     """Reduce maximum-weight connected subgraph to PCSTP.
 
-    MWCS: choose a connected vertex set maximising sum of (possibly
-    negative) vertex weights ``w``. Classical reduction: positive weights
-    become prizes, negative weights become costs on all incident edges'
-    halves — here realised by edge costs c(u,v) = (max(0,-w(u)) +
-    max(0,-w(v))) / 2 and prizes p(v) = max(0, w(v)). Returns the PCSTP
-    and the constant ``sum of positive weights`` such that
+    MWCS: choose a connected vertex set maximising the sum of (possibly
+    negative) vertex weights ``w``.  Uniform shift: with ``s = max(0,
+    -min w)`` every vertex gets the prize p(v) = w(v) + s >= 0 and every
+    edge the cost s.  A tree on k vertices S then costs s(k-1) plus the
+    foregone prizes, i.e. ``sum(p) - s - w(S)`` — the shift a vertex adds
+    to its prize is paid back by exactly one edge, whatever its degree in
+    the tree (splitting -w(v) over the incident edges is only right at
+    tree degree 2).  Returns the PCSTP and the constant ``sum(p) - s``
+    such that
 
-        MWCS-optimum = positive_sum - PCSTP-optimum.
+        MWCS-optimum = constant - PCSTP-optimum
+
+    over non-empty subgraphs (when no weight is positive the empty
+    subgraph, of weight 0, beats them all).
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != graph.n:
         raise GraphError("need one weight per vertex")
+    alive = [int(v) for v in graph.alive_vertices()]
+    shift = max(0.0, -float(weights[alive].min()))
     pc_graph = graph.copy()
     for eid in pc_graph.alive_edges():
-        e = pc_graph.edges[eid]
-        e.cost = max(0.0, -weights[e.u]) / 2.0 + max(0.0, -weights[e.v]) / 2.0
+        pc_graph.edges[eid].cost = shift
     pc_graph.invalidate_caches()  # costs were rewritten in place
-    prizes = np.maximum(weights, 0.0)
-    positive_sum = float(prizes.sum())
-    return PCSTP(pc_graph, prizes), positive_sum
+    prizes = np.zeros(graph.n)
+    prizes[alive] = weights[alive] + shift
+    return PCSTP(pc_graph, prizes), float(prizes.sum()) - shift

@@ -22,24 +22,16 @@ implementing the Supervisor–Worker scheme of the paper's Algorithms 1–2:
   deterministic :class:`~repro.ug.faults.FaultPlan` can replay crash /
   message-loss / corruption scenarios bit-identically under the SimEngine.
 
-Four interchangeable run-time engines drive the same coordinator/solver
-state machines: :class:`~repro.ug.engines.SimEngine` (deterministic
-virtual-time discrete-event simulation — the MPI/supercomputer analogue,
-see DESIGN.md §4 for the substitution argument),
-:class:`~repro.ug.engines.ThreadEngine` (real Python threads — the
-Pthreads/C++11 analogue), and the distributed-memory pair from
-:mod:`repro.ug.net` (DESIGN.md §5e):
-:class:`~repro.ug.net.process_engine.ProcessEngine` (one OS process per
-rank over the binary wire codec — true parallelism) with its
-deterministic loopback twin
-:class:`~repro.ug.net.loopback_engine.LoopbackNetEngine`.
+Five interchangeable run-time engines drive the same coordinator/solver
+state machines from one shared core (:mod:`repro.ug.engine_core`); the
+engine → clock × transport × spawner table is in DESIGN.md §5e, and §4
+argues why the virtual-time :class:`~repro.ug.engines.SimEngine` can
+stand in for MPI runs on a supercomputer.
 
 Naming follows the paper: an instantiated solver is
 ``ug[<base solver>, <library>]``, e.g. ``ug[SteinerJack, SimMPI]`` or
 ``ug[SteinerJack, MPI]`` (the ProcessEngine).
 """
-
-from typing import Any
 
 from repro.ug.para_node import ParaNode
 from repro.ug.para_solution import ParaSolution
@@ -47,6 +39,7 @@ from repro.ug.messages import Message, MessageTag, SeqStamper
 from repro.ug.user_plugins import SolverHandle, HandleStep, UserPlugins
 from repro.ug.instantiation import UGSolver, UGResult, ug
 from repro.ug.statistics import UGStatistics
+from repro.ug.cluster import ClusterEvent, ClusterPlan, ClusterSupervisor, RankWatchdog, RestartPolicy
 from repro.ug.faults import (
     CheckpointFault,
     FaultInjector,
@@ -83,23 +76,3 @@ __all__ = [
     "RankWatchdog",
     "RestartPolicy",
 ]
-
-# the elastic cluster runtime pulls in the process engine (multiprocessing
-# machinery) — exported lazily like the engines in repro.ug.net
-_LAZY = {
-    "ClusterEvent": "repro.ug.cluster",
-    "ClusterPlan": "repro.ug.cluster",
-    "ClusterSupervisor": "repro.ug.cluster",
-    "RankWatchdog": "repro.ug.cluster",
-    "RestartPolicy": "repro.ug.cluster",
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

@@ -5,10 +5,10 @@ it until the job dies.  This module makes the fleet elastic on top of
 the distributed-memory engine (``repro.ug.net``):
 
 * :class:`ClusterPlan` / :class:`ClusterEvent` — a deterministic schedule
-  of membership changes (rank joins and voluntary drains) executed by the
-  elastic engines, exactly like a :class:`~repro.ug.faults.FaultPlan` but
-  for growth and graceful scale-down.  Times are wall seconds under the
-  :class:`ClusterSupervisor` and virtual seconds under the loopback twin.
+  of membership changes (rank joins and voluntary drains) executed by
+  every engine's membership tick (:class:`~repro.ug.engine_core.EngineCore`),
+  exactly like a :class:`~repro.ug.faults.FaultPlan` but for growth and
+  graceful scale-down.  Times are on the engine's clock.
 * :class:`RestartPolicy` / :class:`RankWatchdog` — per-rank supervision:
   a dead rank is replaced by a *fresh* rank id after a capped, jittered
   exponential backoff (deterministic under an injected clock), up to
@@ -36,13 +36,7 @@ from repro.obs.trace import Tracer
 from repro.ug.config import UGConfig
 from repro.ug.load_coordinator import LoadCoordinator
 from repro.ug.net.process_engine import ProcessEngine
-from repro.ug.net.transport import (
-    DEFAULT_BACKOFF_CAP,
-    TcpTransport,
-    backoff_delay,
-    hello_token_matches,
-    recv_hello,
-)
+from repro.ug.net.transport import DEFAULT_BACKOFF_CAP, backoff_delay
 from repro.ug.para_solver import ParaSolver
 
 # -- watchdog policy --------------------------------------------------------------
@@ -164,19 +158,18 @@ class ClusterPlan:
     def sorted_events(self) -> list[ClusterEvent]:
         return sorted(self.events, key=lambda e: e.at_time)
 
+    def make_watchdog(self, clock: Any) -> RankWatchdog | None:
+        """The plan's watchdog on the engine's clock, if it has a policy."""
+        return RankWatchdog(self.restart_policy, clock) if self.restart_policy is not None else None
+
 
 # -- the elastic process engine ---------------------------------------------------
 
-
 class ClusterSupervisor(ProcessEngine):
-    """ProcessEngine with runtime rank join/leave and a restart watchdog.
-
-    Membership changes ride the engine's main loop (``_membership_tick``):
-    scripted :class:`ClusterPlan` events fire by wall time, watchdog
-    replacements fire when their backoff expires, and TCP joiners that
-    dialed in are admitted.  Everything that mutates channels runs on the
-    main thread — the accept thread only authenticates sockets and queues
-    them.
+    """The ProcessEngine ``comm="process"`` runs under a ``cluster_plan``:
+    it only adds the late TCP accept (see the module docstring).
+    Everything that mutates channels runs on the main thread — the accept
+    thread only authenticates sockets and queues them.
     """
 
     def __init__(
@@ -187,23 +180,12 @@ class ClusterSupervisor(ProcessEngine):
         tracer: Tracer | None = None,
     ) -> None:
         super().__init__(lc, solvers, config, tracer)
-        plan = config.cluster_plan or ClusterPlan()
-        self._events = plan.sorted_events()
-        self.watchdog = (
-            RankWatchdog(plan.restart_policy, clock=self._now)
-            if plan.restart_policy is not None
-            else None
-        )
-        self._death_seen: set[int] = set()
         # TCP joiners: spawned ranks whose dial-in we still await, and the
         # authenticated sockets the accept thread hands to the main loop
         self._expected_joiners: set[int] = set()
         self._admitted: queue.Queue[tuple[int, Any]] = queue.Queue()
         self._accept_thread: threading.Thread | None = None
         self._stop_accept = threading.Event()
-        self._next_rank = max(solvers, default=0) + 1
-
-    # -- join plumbing -----------------------------------------------------------
 
     def _close_listener(self) -> None:
         # keep the listener open: late joiners dial the same address with
@@ -216,98 +198,29 @@ class ClusterSupervisor(ProcessEngine):
         self._accept_thread.start()
 
     def _accept_joiners(self) -> None:
-        listener = self._listener
-        listener.settimeout(0.2)
+        self._listener.settimeout(0.2)
         while not self._stop_accept.is_set():
-            try:
-                sock, _addr = listener.accept()
-            except OSError:
-                continue
-            hello = recv_hello(sock, self.config.net_connect_timeout)
-            if hello is None:
-                sock.close()
-                continue
-            rank, got_token = hello
-            if not hello_token_matches(got_token, self._token) or rank not in self._expected_joiners:
-                sock.close()  # stranger, replay, or unexpected rank
-                continue
-            self._expected_joiners.discard(rank)
-            sock.settimeout(None)
-            self._admitted.put((rank, sock))
+            hit = self._accept_hello(self._expected_joiners)
+            if hit is not None:
+                self._expected_joiners.discard(hit[0])
+                self._admitted.put(hit)
 
-    def _fresh_rank(self) -> int:
-        # joins may be in flight (spawned, not yet admitted), so the
-        # engine tracks its own high-water mark alongside the LC's
-        rank = max(self._next_rank, self.lc.next_rank_id())
-        self._next_rank = rank + 1
-        return rank
-
-    def _start_join(self, send: Any, rank: int | None = None) -> int | None:
-        """Spawn a joiner process; membership completes immediately in
-        pipe mode, at dial-in admission in TCP mode."""
-        lc = self.lc
-        if lc.finished:
-            return None
-        if rank is None:
-            rank = self._fresh_rank()
-        if rank in self.procs:
-            return None
-        self._next_rank = max(self._next_rank, rank + 1)
-        if self._mode == "tcp":
+    def _start_rank(self, rank: int) -> bool:
+        if self._accept_thread is not None:
+            # a late TCP joiner: membership completes at dial-in admission
             self._expected_joiners.add(rank)
-        self._spawn_rank(rank)
-        if self._mode == "pipe":
-            lc.note_rank_join(send, self._now(), rank=rank)
-        return rank
+        return super()._start_rank(rank)
 
-    # -- the elastic tick --------------------------------------------------------
-
-    def _membership_tick(self, send: Any) -> None:
-        lc = self.lc
-        now = self._now()
+    def _membership_tick(self, now: float) -> None:
         # admit authenticated TCP joiners (channel wiring on this thread)
-        while True:
+        while not self.lc.finished:
             try:
                 rank, sock = self._admitted.get_nowait()
             except queue.Empty:
                 break
-            transport = TcpTransport(sock, max_outbound=self.config.net_outbound_queue)
-            self.channels[rank] = self._make_channel(rank, transport, self._lc_stamper)
-            lc.note_rank_join(send, now, rank=rank)
-            if lc.finished:
-                return
-        # feed every newly observed death (engine- or heartbeat-detected)
-        # to the watchdog so a replacement gets booked
-        for rank in sorted(lc.dead - self._death_seen):
-            self._death_seen.add(rank)
-            if self.watchdog is not None:
-                self.watchdog.note_death(rank, now)
-        # scripted joins/drains whose time has come
-        while self._events and self._events[0].at_time <= now:
-            ev = self._events.pop(0)
-            if lc.finished:
-                return
-            if ev.action == "join":
-                self._start_join(send, ev.rank)
-            else:
-                target = ev.rank
-                if target is None:
-                    candidates = lc.live_solvers() - lc.draining
-                    target = max(candidates) if candidates else None
-                if target is not None:
-                    lc.request_drain(target, send, now)
-        # watchdog replacements whose backoff expired
-        if self.watchdog is not None:
-            for root in self.watchdog.due(now):
-                if lc.finished:
-                    return
-                rank = self._start_join(send, None)
-                if rank is not None:
-                    lc.metrics.inc("ranks_restarted")
-                    self.watchdog.bind(rank, root)
-                    self.tracer.emit(now, "rank_restart", rank, root=root)
-
-    # -- teardown ----------------------------------------------------------------
+            self._wire_tcp(rank, sock)
+            self.lc.note_rank_join(self._send, now, rank=rank)
+        super()._membership_tick(now)
 
     def _shutdown(self) -> None:
         self._stop_accept.set()

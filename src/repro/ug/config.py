@@ -14,8 +14,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults uses messages
 class UGConfig:
     """Knobs of a ug[...] run.
 
-    Times are in virtual seconds under the SimEngine, wall-clock seconds
-    under the ThreadEngine.
+    Times are in virtual seconds under the virtual-clock engines
+    (``comm="sim"``, ``"loopback"``) and wall-clock seconds under the
+    wall-clock engines (``"threads"``, ``"process"``).
     """
 
     ramp_up: str = "normal"  # "normal" | "racing"
@@ -49,7 +50,7 @@ class UGConfig:
     time_limit: float = float("inf")
     node_limit: int = 10**12
 
-    # SimEngine message latency (virtual seconds)
+    # message latency under the virtual-clock engines (virtual seconds)
     latency: float = 1e-4
 
     # distributed-memory engine (repro.ug.net) -----------------------------
@@ -77,11 +78,6 @@ class UGConfig:
     # tree audits — a delayed incumbent only delays pruning, the trace's
     # incumbent events (emitted at acceptance) stay monotone either way
     net_incumbent_debounce: float = 0.0
-    # warm worker pool: pipe-mode ProcessEngine ranks are re-armed from a
-    # process pool (RESET handshake) instead of paying spawn-per-run;
-    # automatically bypassed under a fault plan so injected crashes and
-    # frame faults keep their per-run determinism
-    net_warm_pool: bool = True
 
     # observability (repro.obs): structured event tracing; disabled by
     # default so untraced runs pay one branch per instrumentation point.
@@ -102,7 +98,7 @@ class UGConfig:
     max_node_retries: int = 3
     # bounded retry for transient CommErrors on sends (0 disables the wrapper)
     send_retries: int = 3
-    send_backoff: float = 0.01  # seconds, doubled per retry (ThreadEngine only)
+    send_backoff: float = 0.01  # seconds, doubled per retry (wall-clock engines only)
     # deterministic failure schedule executed by the engines (tests/chaos runs)
     fault_plan: FaultPlan | None = None
 

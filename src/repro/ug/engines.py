@@ -1,184 +1,108 @@
-"""Run-time engines driving the LoadCoordinator/ParaSolver state machines.
-
-Both engines execute the *same* protocol code:
-
-* :class:`SimEngine` — deterministic discrete-event simulation over a
-  virtual clock. Each ParaSolver advances by its base solver's reported
-  work units; messages take ``latency`` virtual seconds. This is the
-  substitute for MPI runs on supercomputers (DESIGN.md §4): speedups,
-  idle ratios and ramp-up dynamics are properties of the coordination
-  algorithm which the simulation reproduces bit-identically at any
-  simulated scale.
-* :class:`ThreadEngine` — real Python threads with queues (the
-  Pthreads/C++11 analogue): proves the protocol is genuinely concurrent
-  and delivers modest real-time speedups where the GIL allows.
-
-Both engines consult a :class:`~repro.ug.faults.FaultInjector` built from
-``config.fault_plan``: a crashed rank becomes a black hole (its messages
-are swallowed, it never speaks again — exactly a lost MPI process),
-injected message faults drop or delay deliveries, and transient send
-failures are absorbed by the bounded retry wrapper.  Under the SimEngine
-the whole failure scenario replays bit-identically.
+"""The two in-process engines that need no worker processes: the
+virtual-clock :class:`SimEngine` and the wall-clock :class:`ThreadEngine`
+(DESIGN.md §5e has the engine table).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import queue
 import threading
 import time
-from typing import Any, Callable
 
 from repro.exceptions import CommError
 from repro.obs.trace import Tracer
 from repro.ug.config import UGConfig
-from repro.ug.faults import FaultInjector, make_retrying_send
+from repro.ug.engine_core import EngineCore, WallClockEngine, rank_loop
 from repro.ug.load_coordinator import LoadCoordinator
-from repro.ug.messages import LOAD_COORDINATOR_RANK, Message, MessageTag, SeqStamper
-from repro.ug.net.channel import attach_run_tracer, corrupt_frame
-from repro.ug.net.codec import FrameDecodeError, decode_message, encode_message
-from repro.ug.para_solver import ParaSolver
+from repro.ug.messages import LOAD_COORDINATOR_RANK, Message
+from repro.ug.net.transport import TransportClosedError
+from repro.ug.para_solver import ParaSolver, SendFn
+
+#: events a virtual-clock run may process before it is declared livelocked
+MAX_EVENTS = 5_000_000
 
 
-class SimEngine:
-    """Deterministic virtual-time engine."""
+class SimEngine(EngineCore):
+    """Deterministic virtual-time engine.
+
+    Each ParaSolver advances by its base solver's reported work units;
+    messages take ``config.latency`` virtual seconds.  This is the
+    substitute for MPI runs on supercomputers (DESIGN.md §4): speedups,
+    idle ratios and ramp-up dynamics are properties of the coordination
+    algorithm, which the simulation reproduces bit-identically at any
+    simulated scale — the whole failure scenario of a ``FaultPlan``
+    included.  A message in flight is an object on the event heap; the
+    ``_post`` / ``_collect`` / ``_end_burst`` seams let a subclass make it
+    a frame in a wire channel instead
+    (:class:`~repro.ug.net.loopback_engine.LoopbackNetEngine`).
+    """
 
     def __init__(
         self,
         lc: LoadCoordinator,
         solvers: dict[int, ParaSolver],
         config: UGConfig,
-        max_events: int = 5_000_000,
-        wall_clock_limit: float = float("inf"),
         tracer: Tracer | None = None,
     ) -> None:
-        self.lc = lc
-        self.solvers = solvers
-        self.config = config
-        self.max_events = max_events
-        self.wall_clock_limit = wall_clock_limit
-        self.injector = FaultInjector(config.fault_plan)
-        lc.fault_injector = self.injector
-        self.tracer = attach_run_tracer(tracer, config, lc, solvers)
+        super().__init__(lc, solvers, config, tracer)
+        # (time, tie-break, kind, the worker rank at the far end, message)
         self._events: list[tuple[float, int, str, int, Message | None]] = []
         self._seq = itertools.count()
-        # per-run message sequence numbers: (src, seq) identifies a message
-        # within this engine run, independent of any other run in the process
-        self._msg_seq = SeqStamper()
-        self._clock: dict[int, float] = {r: 0.0 for r in solvers}
-        self._busy: dict[int, float] = {r: 0.0 for r in solvers}
+        self._clock: dict[int, float] = {}
+        self._inbox: dict[int, list[Message]] = {}
+        self._sends: dict[int, SendFn] = {}
         self._wake_scheduled: set[int] = set()
-        self._inbox: dict[int, list[Message]] = {r: [] for r in solvers}
-        self.now = 0.0
-        self.virtual_time = 0.0
+        self.now = 0.0  # virtual seconds; event times never decrease
         # running total of processed B&B nodes across all solvers, kept
         # current by _run_solver — the node-limit check runs on every
         # event and must not re-sum every solver each time
         self._nodes_total = 0
+        self._send = self.router.sender(
+            LOAD_COORDINATOR_RANK, self._msg_seq, self._now, self._post, real_time=False
+        )
+        for rank in solvers:
+            self._start_rank(rank)
 
-    # -- event plumbing --------------------------------------------------------
+    def _now(self) -> float:
+        return self.now
+
+    # -- delivery seams -----------------------------------------------------------
+
+    def _post(self, msg: Message, now: float, extra_delay: float) -> None:
+        """Put a routed message in flight."""
+        self._arrival(msg, now + self.config.latency + extra_delay, msg)
+
+    def _collect(self, rank: int, msg: Message | None, to_lc: bool) -> list[Message]:
+        """The messages an arrival event hands to its receiver."""
+        assert msg is not None
+        return [msg]
+
+    def _end_burst(self, rank: int) -> None:
+        """``rank`` finished a handling or work burst (a flush seam)."""
+
+    # -- event plumbing -----------------------------------------------------------
 
     def _push(self, t: float, kind: str, rank: int, msg: Message | None = None) -> None:
         heapq.heappush(self._events, (t, next(self._seq), kind, rank, msg))
 
-    def _send_factory(self, src: int, when: Callable[[], float]):
-        def send(dst: int, tag: MessageTag, payload: Any) -> None:
-            self.injector.check_send(src)  # may raise a transient CommError
-            msg = Message(tag=tag, src=src, dst=dst, payload=payload, seq=self._msg_seq())
-            action, extra_delay = self.injector.message_action(msg)
-            tracer = self.tracer
-            if action == "drop":
-                if tracer.enabled:
-                    tracer.emit(when(), "send", src, dst=dst, tag=tag.value, action="drop")
-                return
-            t = when() + self.config.latency + extra_delay
-            if dst == LOAD_COORDINATOR_RANK:
-                if tracer.enabled:
-                    tracer.emit(when(), "send", src, dst=dst, tag=tag.value, action=action, delay=extra_delay)
-                self._push(t, "lcmsg", dst, msg)
-            else:
-                if dst not in self.solvers:
-                    raise CommError(f"unknown rank {dst}")
-                if self.injector.is_crashed(dst):
-                    # a dead rank is a black hole
-                    if tracer.enabled:
-                        tracer.emit(when(), "send", src, dst=dst, tag=tag.value, action="blackhole")
-                    return
-                if tracer.enabled:
-                    tracer.emit(when(), "send", src, dst=dst, tag=tag.value, action=action, delay=extra_delay)
-                self._push(t, "smsg", dst, msg)
+    def _arrival(self, msg: Message, t: float, carried: Message | None) -> None:
+        """Schedule the event that makes ``msg`` arrive at ``t``."""
+        if msg.dst == LOAD_COORDINATOR_RANK:
+            self._push(t, "lcmsg", msg.src, carried)
+        elif msg.dst in self.solvers:
+            self._push(t, "smsg", msg.dst, carried)
+        else:
+            raise CommError(f"unknown rank {msg.dst}")
 
-        return make_retrying_send(send, self.config, self.injector, real_time=False)
-
-    # -- main loop ------------------------------------------------------------------
-
-    def run(self) -> None:
-        lc_send_time = [0.0]
-        lc_send = self._send_factory(LOAD_COORDINATOR_RANK, lambda: lc_send_time[0])
-        self.lc.start(lc_send, 0.0)
-        self._schedule_heartbeat_tick(0.0)
-        start_wall = time.perf_counter()
-        events_done = 0
-        interrupted = False
-        tracer = self.tracer
-        while self._events:
-            t, _, kind, rank, msg = heapq.heappop(self._events)
-            self.now = t
-            self.virtual_time = max(self.virtual_time, t)
-            events_done += 1
-            if events_done > self.max_events:
-                raise CommError("SimEngine exceeded max_events — protocol livelock?")
-
-            over_time = t >= self.config.time_limit
-            over_nodes = self._nodes_total >= self.config.node_limit
-            over_wall = time.perf_counter() - start_wall >= self.wall_clock_limit
-            if not interrupted and not self.lc.finished and (over_time or over_nodes or over_wall):
-                interrupted = True
-                lc_send_time[0] = t
-                self.lc.interrupt(lc_send, t)
-
-            if kind == "lcmsg":
-                assert msg is not None
-                lc_send_time[0] = t
-                if tracer.enabled:
-                    tracer.emit(t, "deliver", LOAD_COORDINATOR_RANK, src=msg.src, tag=msg.tag.value)
-                if not self.lc.finished:
-                    self.lc.handle_message(msg, lc_send, t)
-                    self.lc.on_tick(lc_send, t)
-            elif kind == "tick":
-                # periodic Supervisor self-tick: lets heartbeat timeouts fire
-                # even when no worker message arrives (e.g. everyone crashed)
-                lc_send_time[0] = t
-                if not self.lc.finished and not interrupted:
-                    self.lc.on_tick(lc_send, t)
-                    self._schedule_heartbeat_tick(t)
-            elif kind == "smsg":
-                assert msg is not None
-                if self.injector.is_crashed(rank):
-                    continue
-                if tracer.enabled:
-                    tracer.emit(t, "deliver", rank, src=msg.src, tag=msg.tag.value)
-                self._inbox[rank].append(msg)
-                self._clock[rank] = max(self._clock[rank], t)
-                self._schedule_wake(rank)
-            elif kind == "wake":
-                self._wake_scheduled.discard(rank)
-                if tracer.enabled:
-                    tracer.emit(t, "wake", rank)
-                self._run_solver(rank)
-        if not self.lc.finished:
-            lc_send_time[0] = self.virtual_time
-            self.lc.interrupt(lc_send, self.virtual_time)
-        # drain termination messages so surviving solver states are final
-        while self._events:
-            t, _, kind, rank, msg = heapq.heappop(self._events)
-            if kind == "smsg" and msg is not None and not self.injector.is_crashed(rank):
-                solver = self.solvers[rank]
-                solver.handle_message(msg, lambda *a, **k: None)
-        self.lc.stats.solver_busy = dict(self._busy)
-        self.injector.export_stats(self.lc.stats)
-        self._compute_idle_ratio()
+    def _start_rank(self, rank: int) -> bool:
+        self._begin_alive(rank, self.now)
+        self._clock[rank] = self.now
+        self._inbox[rank] = []
+        self._sends[rank] = self.router.sender(
+            rank, self._msg_seq, lambda: self._clock[rank], self._post, real_time=False
+        )
+        return True
 
     def _schedule_heartbeat_tick(self, now: float) -> None:
         timeout = self.config.heartbeat_timeout
@@ -192,23 +116,97 @@ class SimEngine:
             self._wake_scheduled.add(rank)
             self._push(self._clock[rank], "wake", rank)
 
+    def _wake_at(self, when: float) -> None:
+        self._push(when, "member", LOAD_COORDINATOR_RANK)
+
+    # -- main loop ----------------------------------------------------------------
+
+    def run(self) -> None:
+        lc, tracer, lc_send = self.lc, self.tracer, self._send
+        # the membership tick is a no-op without a plan: keep it off the
+        # per-event path of every ordinary run
+        elastic = self.config.cluster_plan is not None
+        self._wall_start = time.perf_counter()
+        lc.start(lc_send, 0.0)
+        self._schedule_heartbeat_tick(0.0)
+        for ev in self._plan_events:
+            self._wake_at(ev.at_time)
+        events_done = 0
+        interrupted = False
+        while self._events:
+            t, _, kind, rank, msg = heapq.heappop(self._events)
+            self.now = t
+            events_done += 1
+            if events_done > MAX_EVENTS:
+                raise CommError(f"{type(self).__name__} exceeded MAX_EVENTS — protocol livelock?")
+
+            if not interrupted and not lc.finished and self._limit_reached(t, self._nodes_total):
+                interrupted = True
+                lc.interrupt(lc_send, t)
+            if elastic and not lc.finished:
+                self._membership_tick(t)
+
+            if kind == "lcmsg":
+                for m in self._collect(rank, msg, to_lc=True):
+                    if tracer.enabled:
+                        tracer.emit(t, "deliver", LOAD_COORDINATOR_RANK, src=m.src, tag=m.tag.value)
+                    if not lc.finished:
+                        lc.handle_message(m, lc_send, t)
+                        lc.on_tick(lc_send, t)
+            elif kind == "tick":
+                # periodic Supervisor self-tick: lets heartbeat timeouts fire
+                # even when no worker message arrives (e.g. everyone crashed)
+                if not lc.finished and not interrupted:
+                    lc.on_tick(lc_send, t)
+                    self._schedule_heartbeat_tick(t)
+            elif kind == "smsg":
+                if self.injector.is_crashed(rank):
+                    continue
+                arrived = self._collect(rank, msg, to_lc=False)
+                if not arrived:
+                    continue  # the wire ate it
+                for m in arrived:
+                    if tracer.enabled:
+                        tracer.emit(t, "deliver", rank, src=m.src, tag=m.tag.value)
+                    self._inbox[rank].append(m)
+                self._clock[rank] = max(self._clock[rank], t)
+                self._schedule_wake(rank)
+            elif kind == "wake":
+                self._wake_scheduled.discard(rank)
+                if tracer.enabled:
+                    tracer.emit(t, "wake", rank)
+                self._run_solver(rank)
+        if not lc.finished:
+            lc.interrupt(lc_send, self.now)
+        # drain termination messages so surviving solver states are final
+        while self._events:
+            _, _, kind, rank, msg = heapq.heappop(self._events)
+            if kind == "smsg" and not self.injector.is_crashed(rank):
+                for m in self._collect(rank, msg, to_lc=False):
+                    self.solvers[rank].handle_message(m, lambda *a, **k: None)
+        self._finish_accounting(self.now)
+
     def _run_solver(self, rank: int) -> None:
         solver = self.solvers[rank]
         clock = self._clock[rank]
+        inbox = self._inbox[rank]
         if self.injector.maybe_crash(rank, clock, solver.nodes_processed_total):
             self.tracer.emit(clock, "crash", rank, nodes=solver.nodes_processed_total)
-            self._inbox[rank].clear()
+            inbox.clear()
             return
-        send = self._send_factory(rank, lambda: self._clock[rank])
-        for msg in self._inbox[rank]:
-            solver.handle_message(msg, send)
-        self._inbox[rank].clear()
+        send = self._sends[rank]
+        if inbox:
+            for msg in inbox:
+                solver.handle_message(msg, send)
+            inbox.clear()
+            self._end_burst(rank)
         if solver.state == "terminated":
             return
         nodes_before = solver.nodes_processed_total
         work = solver.do_work(send)
         self._nodes_total += solver.nodes_processed_total - nodes_before
         if work is not None:
+            self._end_burst(rank)
             self._clock[rank] = clock + work
             self._busy[rank] += work
             if self.tracer.enabled:
@@ -216,182 +214,42 @@ class SimEngine:
             self._schedule_wake(rank)
         # idle solvers sleep until the next message arrives
 
-    def _compute_idle_ratio(self) -> None:
-        span = self.lc.stats.computing_time or self.virtual_time
-        if span <= 0 or not self.solvers:
-            self.lc.metrics.set("idle_ratio", 0.0)
-            return
-        total = span * len(self.solvers)
-        busy = sum(min(b, span) for b in self._busy.values())
-        self.lc.metrics.set("idle_ratio", max(0.0, 1.0 - busy / total))
 
+class ThreadEngine(WallClockEngine):
+    """Real-thread engine (Pthreads/C++11 analogue): every rank's
+    :func:`~repro.ug.engine_core.rank_loop` in a thread over an in-memory
+    loopback transport.  Every delivery still crosses the binary codec,
+    exactly like a process run: the receiver gets a *fresh* decoded message
+    (mutating a delivered payload can never alias the sender's objects) and
+    frame faults from the plan damage real bytes that the CRC check rejects.
+    """
 
-class ThreadEngine:
-    """Real-thread engine (Pthreads/C++11 analogue)."""
+    def _start_rank(self, rank: int) -> bool:
+        self._wire_loopback(rank).mail = self._mail
+        thread = threading.Thread(
+            target=self._rank_main, args=(rank,), daemon=True, name=f"ParaSolver-{rank}"
+        )
+        self.workers[rank] = thread
+        thread.start()
+        self._begin_alive(rank, self._now())
+        return True
 
-    def __init__(
-        self,
-        lc: LoadCoordinator,
-        solvers: dict[int, ParaSolver],
-        config: UGConfig,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.lc = lc
-        self.solvers = solvers
-        self.config = config
-        self.injector = FaultInjector(config.fault_plan)
-        lc.fault_injector = self.injector
-        self.tracer = attach_run_tracer(tracer, config, lc, solvers)
-        self._msg_seq = SeqStamper()  # per-run message sequence numbers
-        self._queues: dict[int, queue.Queue] = {r: queue.Queue() for r in solvers}
-        self._lc_queue: queue.Queue = queue.Queue()
-        self._t0 = 0.0
-        self._busy: dict[int, float] = {r: 0.0 for r in solvers}
-        # running node total shared by the solver threads (lock-guarded)
-        # so the main loop's node-limit check needn't re-sum every solver
-        self._nodes_total = 0
-        self._nodes_lock = threading.Lock()
-
-    def _send(self, src: int):
-        def send(dst: int, tag: MessageTag, payload: Any) -> None:
-            self.injector.check_send(src)  # may raise a transient CommError
-            msg = Message(tag=tag, src=src, dst=dst, payload=payload, seq=self._msg_seq())
-            action, extra_delay = self.injector.message_action(msg)
-            if self.tracer.enabled:
-                self.tracer.emit(self._now(), "send", src, dst=dst, tag=tag.value, action=action)
-            if action == "drop":
-                return
-            delivered = self._wire_roundtrip(msg)
-            if delivered is None:
-                return  # frame fault: the wire ate it
-            target = self._lc_queue if dst == LOAD_COORDINATOR_RANK else self._queues[dst]
-            if action == "delay" and extra_delay > 0:
-                timer = threading.Timer(extra_delay, target.put, args=(delivered,))
-                timer.daemon = True
-                timer.start()
-            else:
-                target.put(delivered)
-
-        return make_retrying_send(send, self.config, self.injector, real_time=True)
-
-    def _wire_roundtrip(self, msg: Message) -> Message | None:
-        """Every delivery crosses the binary codec, exactly like a process
-        run: the receiver gets a *fresh* decoded message (mutating a
-        delivered payload can never alias the sender's objects) and frame
-        faults from the plan damage real bytes that the CRC check rejects
-        (a lost message — survivable, PR 1's heartbeat/reclaim path)."""
-        metrics = self.lc.metrics
-        frame = encode_message(msg)
-        action = self.injector.frame_action(msg.src, msg.dst)
-        if action == "drop":
-            if self.tracer.enabled:
-                self.tracer.emit(self._now(), "frame_fault", msg.src, action="drop", dst=msg.dst)
-            return None
-        if action in ("corrupt", "truncate"):
-            if self.tracer.enabled:
-                self.tracer.emit(self._now(), "frame_fault", msg.src, action=action, dst=msg.dst)
-            frame = corrupt_frame(frame, action)
-        metrics.inc("net_frames_sent")
-        metrics.inc("net_bytes_sent", len(frame))
+    def _rank_main(self, rank: int) -> None:
+        channel = self.rank_channels[rank]
         try:
-            delivered = decode_message(frame)
-        except FrameDecodeError as exc:
-            metrics.inc("net_decode_errors")
-            if self.tracer.enabled:
-                self.tracer.emit(self._now(), "net_decode_error", msg.dst, error=type(exc).__name__)
-            return None
-        metrics.inc("net_frames_received")
-        metrics.inc("net_bytes_received", len(frame))
-        return delivered
+            rank_loop(self.solvers[rank], channel, self.router, self._now)
+        except TransportClosedError:
+            pass  # the run was torn down under us
+        finally:
+            # however the rank ended, its endpoint goes away — an injected
+            # crash then looks to the coordinator like a killed process
+            channel.close()
 
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
-
-    def _solver_loop(self, rank: int) -> None:
-        solver = self.solvers[rank]
-        q = self._queues[rank]
-        send = self._send(rank)
-        while solver.state != "terminated":
-            if self.injector.maybe_crash(rank, self._now(), solver.nodes_processed_total):
-                self.tracer.emit(self._now(), "crash", rank, nodes=solver.nodes_processed_total)
-                return  # simulate a killed worker process: vanish silently
-            if solver.is_busy:
-                # busy: poll the queue without blocking, then advance the tree;
-                # the whole burst (message handling + work) counts as busy so
-                # idle_ratio measures only genuine waiting-for-work time
-                t_burst = time.perf_counter()
-                while True:
-                    try:
-                        msg = q.get_nowait()
-                    except queue.Empty:
-                        break
-                    if self.tracer.enabled:
-                        self.tracer.emit(self._now(), "deliver", rank, src=msg.src, tag=msg.tag.value)
-                    solver.handle_message(msg, send)
-                    if solver.state == "terminated":
-                        self._busy[rank] += time.perf_counter() - t_burst
-                        return
-                if not solver.is_busy:
-                    self._busy[rank] += time.perf_counter() - t_burst
-                    continue  # a message flipped us idle; block on the queue
-                start = self._now()
-                nodes_before = solver.nodes_processed_total
-                t0 = time.perf_counter()
-                solver.do_work(send)
-                elapsed = time.perf_counter() - t0
-                self._busy[rank] += time.perf_counter() - t_burst
-                delta = solver.nodes_processed_total - nodes_before
-                if delta:
-                    with self._nodes_lock:
-                        self._nodes_total += delta
-                if self.tracer.enabled:
-                    self.tracer.emit(start, "work", rank, work=elapsed)
-            else:
-                # idle: block with a timeout (no busy-wait) until work or
-                # termination arrives; the timeout keeps crash checks alive
-                try:
-                    msg = q.get(timeout=0.2)
-                except queue.Empty:
-                    continue
-                t0 = time.perf_counter()
-                solver.handle_message(msg, send)
-                self._busy[rank] += time.perf_counter() - t0
-
-    def run(self) -> None:
-        self._t0 = time.perf_counter()
-        send = self._send(LOAD_COORDINATOR_RANK)
-        threads = [
-            threading.Thread(target=self._solver_loop, args=(rank,), daemon=True, name=f"ParaSolver-{rank}")
-            for rank in self.solvers
-        ]
-        for th in threads:
-            th.start()
-        self.lc.start(send, 0.0)
-        node_limit = self.config.node_limit
-        while not self.lc.finished:
-            now = self._now()
-            with self._nodes_lock:
-                nodes_total = self._nodes_total
-            if now >= self.config.time_limit or nodes_total >= node_limit:
-                self.lc.interrupt(send, now)
-                break
-            try:
-                msg = self._lc_queue.get(timeout=0.2)
-            except queue.Empty:
-                self.lc.on_tick(send, self._now())
-                continue
-            if self.tracer.enabled:
-                self.tracer.emit(self._now(), "deliver", LOAD_COORDINATOR_RANK, src=msg.src, tag=msg.tag.value)
-            self.lc.handle_message(msg, send, self._now())
-            self.lc.on_tick(send, self._now())
-        for th in threads:
-            th.join(timeout=10.0)
-        alive = [th.name for th in threads if th.is_alive()]
+    def _reap(self, deadline: float) -> None:
+        for thread in self.workers.values():
+            thread.join(timeout=max(deadline - time.monotonic(), 0.1))
+        alive = [thread.name for thread in self.workers.values() if thread.is_alive()]
         if alive:  # pragma: no cover - liveness failure
             raise CommError(f"ParaSolver threads did not terminate: {alive}")
-        self.lc.stats.solver_busy = dict(self._busy)
-        self.injector.export_stats(self.lc.stats)
-        span = self.lc.stats.computing_time or self._now()
-        total = span * max(len(self.solvers), 1)
-        busy = sum(min(b, span) for b in self._busy.values())
-        self.lc.metrics.set("idle_ratio", max(0.0, 1.0 - busy / total) if total > 0 else 0.0)
+        for rank in sorted(self.channels):
+            self._pump_rank(rank)  # late end-of-run frames

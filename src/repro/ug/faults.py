@@ -11,9 +11,10 @@ checkpoint writes are corrupted and which sends fail transiently — and a
 Because a plan is pure data and the SimEngine is a deterministic
 discrete-event simulator, replaying the same plan yields bit-identical
 runs: the same failure counters, the same reclaimed nodes, the same final
-statistics.  The ThreadEngine consults the identical injector, so the
-same scenarios exercise the real-thread path (without the bit-identical
-guarantee).
+statistics.  Every engine routes its sends through the same
+:class:`~repro.ug.engine_core.MessageRouter` and the same injector, so
+the same scenarios exercise the real-thread and real-process paths
+(without the bit-identical guarantee).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -90,9 +90,8 @@ class FrameFault:
     ``corrupt`` flips a byte (the receiver's CRC check turns it into a
     typed decode error and the message is lost), ``truncate`` cuts the
     frame in half (same outcome via the length check).  ``None`` matches
-    any rank.  Only the codec-backed paths (ThreadEngine delivery,
-    loopback/process engines) consult frame faults; the SimEngine has no
-    wire to damage.
+    any rank.  Every engine with a wire (loopback, threads, process)
+    consults frame faults; the SimEngine has no wire to damage.
     """
 
     src: int | None = None
@@ -297,8 +296,8 @@ class RetryingSend:
     :class:`SendFault`) are retried up to ``retries`` times with
     exponential backoff; a persistent failure re-raises so real protocol
     bugs (unknown rank) still surface.  ``sleep`` is ``time.sleep`` under
-    the ThreadEngine and ``None`` under the SimEngine (virtual time —
-    retry immediately, determinism preserved).
+    the wall-clock engines and ``None`` under the virtual-clock ones
+    (retry immediately, determinism preserved).
     """
 
     send: Callable[[int, MessageTag, Any], None]
@@ -323,22 +322,3 @@ class RetryingSend:
                     self.injector.note_retry()
                 if self.sleep is not None and self.backoff > 0:
                     self.sleep(self.backoff * (2 ** (attempt - 1)))
-
-
-def make_retrying_send(
-    send: Callable[[int, MessageTag, Any], None],
-    config: Any,
-    injector: FaultInjector | None = None,
-    real_time: bool = False,
-) -> Callable[[int, MessageTag, Any], None]:
-    """Wrap ``send`` per the config's retry policy (no-op when retries=0)."""
-    retries = getattr(config, "send_retries", 0)
-    if retries <= 0:
-        return send
-    return RetryingSend(
-        send,
-        retries=retries,
-        backoff=getattr(config, "send_backoff", 0.0) if real_time else 0.0,
-        sleep=time.sleep if real_time else None,
-        injector=injector,
-    )

@@ -4,6 +4,8 @@ The factory mirrors the paper's naming scheme: a UG-parallelized solver
 is named after its base solver and communication library, e.g.
 ``ug[SteinerJack, C++11]`` (ThreadEngine) or ``ug[SteinerJack, SimMPI]``
 (virtual-time SimEngine standing in for MPI runs, cf. DESIGN.md §4).
+``wall_clock_limit`` is a real-time budget every engine honors: once it
+is spent the run is interrupted and returns its incumbent and bound.
 """
 
 from __future__ import annotations
@@ -16,20 +18,24 @@ from repro.exceptions import CommError
 from repro.obs.trace import Tracer
 from repro.ug.checkpoint import load_checkpoint
 from repro.ug.config import UGConfig
+from repro.ug.cluster import ClusterSupervisor
+from repro.ug.engine_core import build_para_solver
 from repro.ug.engines import SimEngine, ThreadEngine
 from repro.ug.load_coordinator import LoadCoordinator
+from repro.ug.net.loopback_engine import LoopbackNetEngine
+from repro.ug.net.process_engine import ProcessEngine
 from repro.ug.para_solution import ParaSolution
-from repro.ug.para_solver import ParaSolver
 from repro.ug.statistics import UGStatistics
 from repro.ug.user_plugins import UserPlugins
 
-_LIBRARIES = {
-    "sim": "SimMPI",
-    "threads": "C++11",
+#: comm -> (the paper's library name, the engine class)
+_ENGINES: dict[str, tuple[str, Any]] = {
+    "sim": ("SimMPI", SimEngine),
+    "threads": ("C++11", ThreadEngine),
     # distributed-memory engines (repro.ug.net): real processes over the
     # wire codec, and their deterministic single-threaded loopback twin
-    "process": "MPI",
-    "loopback": "NetLoop",
+    "process": ("MPI", ProcessEngine),
+    "loopback": ("NetLoop", LoopbackNetEngine),
 }
 
 
@@ -75,14 +81,14 @@ class UGSolver:
     wall_clock_limit: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.comm not in _LIBRARIES:
-            raise CommError(f"unknown comm {self.comm!r}; choose from {sorted(_LIBRARIES)}")
+        if self.comm not in _ENGINES:
+            raise CommError(f"unknown comm {self.comm!r}; choose from {sorted(_ENGINES)}")
         if self.n_solvers < 1:
             raise CommError("need at least one ParaSolver")
 
     @property
     def name(self) -> str:
-        return f"ug[{self.user_plugins.base_solver_name}, {_LIBRARIES[self.comm]}]"
+        return f"ug[{self.user_plugins.base_solver_name}, {_ENGINES[self.comm][0]}]"
 
     def run(
         self,
@@ -143,39 +149,16 @@ class UGSolver:
             if saved_ranks is not None and int(saved_ranks) != self.n_solvers:
                 lc.metrics.inc("shape_restarts")
         solvers = {
-            rank: ParaSolver(
-                rank,
-                lc.instance,
-                self.user_plugins,
-                self.params,
-                self.seed,
-                status_interval_work=self.config.status_interval_work,
-                min_open_to_shed=self.config.min_open_to_shed,
-                objective_epsilon=self.config.objective_epsilon,
-                transfer_batch=self.config.net_batch_nodes,
+            rank: build_para_solver(
+                rank, lc.instance, self.user_plugins, self.params, self.seed, self.config
             )
             for rank in range(1, self.n_solvers + 1)
         }
-        engine: Any
-        if self.comm == "sim":
-            engine = SimEngine(
-                lc, solvers, self.config, wall_clock_limit=self.wall_clock_limit, tracer=tracer
-            )
-        elif self.comm == "threads":
-            engine = ThreadEngine(lc, solvers, self.config, tracer=tracer)
-        elif self.comm == "process":
-            if self.config.cluster_plan is not None:
-                from repro.ug.cluster import ClusterSupervisor
-
-                engine = ClusterSupervisor(lc, solvers, self.config, tracer=tracer)
-            else:
-                from repro.ug.net.process_engine import ProcessEngine
-
-                engine = ProcessEngine(lc, solvers, self.config, tracer=tracer)
-        else:  # "loopback"
-            from repro.ug.net.loopback_engine import LoopbackNetEngine
-
-            engine = LoopbackNetEngine(lc, solvers, self.config, tracer=tracer)
+        engine_cls = _ENGINES[self.comm][1]
+        if engine_cls is ProcessEngine and self.config.cluster_plan is not None:
+            engine_cls = ClusterSupervisor  # keeps the TCP listener open for joiners
+        engine = engine_cls(lc, solvers, self.config, tracer=tracer)
+        engine.wall_clock_limit = self.wall_clock_limit
         engine.run()
         if engine.tracer is not None and engine.tracer.dropped:
             lc.metrics.set("trace_events_dropped", engine.tracer.dropped)

@@ -102,6 +102,7 @@ class LoadCoordinator:
         # the lost region may hide solutions down to that value
         self.dead: set[int] = set()
         self._last_heartbeat: dict[int, float] = {}
+        self._alive_until: dict[int, float] = {}
         self._lost_subtrees = False
         self._lost_dual = math.inf
         self._racing_root_dual = -math.inf
@@ -669,6 +670,12 @@ class LoadCoordinator:
         self.tracer.emit(now, "rank_death_observed", rank, reason=reason)
         self._mark_dead(rank, send, now)
 
+    def note_rank_alive(self, rank: int, until: float) -> None:
+        """Engine-observed liveness, the counterpart of
+        :meth:`note_rank_death`: the engine can see ``rank`` computing
+        until ``until``, so its silence up to then is no missed heartbeat."""
+        self._alive_until[rank] = until
+
     def nodes_processed_total(self) -> int:
         """Processed B&B nodes summed over every rank's last report."""
         return sum(self._nodes_processed.values())
@@ -681,7 +688,7 @@ class LoadCoordinator:
         # and ranks winding down (e.g. a racing loser that has yet to
         # confirm TERMINATED).  Idle ranks are silent by design.
         for rank in sorted(self.live_solvers() - self.idle):
-            last = self._last_heartbeat.get(rank, now)
+            last = max(self._last_heartbeat.get(rank, now), self._alive_until.get(rank, -math.inf))
             if now - last > timeout:
                 self._mark_dead(rank, send, now)
                 if self.finished:

@@ -12,15 +12,16 @@ Three layers, bottom up:
 On top ride two engines: :class:`LoopbackNetEngine` (deterministic,
 single-threaded, full wire path — the testable twin) and
 :class:`ProcessEngine` (one OS process per rank — true parallelism).
-The engine classes are exported lazily (PEP 562) so importing the codec
-never drags in multiprocessing machinery.
+The engine classes are exported lazily (PEP 562): they build on
+:mod:`repro.ug.engine_core`, which itself imports this package's
+channel and transport modules.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.ug.net.channel import MessageChannel, attach_run_tracer, corrupt_frame
+from repro.ug.net.channel import MessageChannel, corrupt_frame
 from repro.ug.net.codec import (
     BadMagicError,
     ChecksumError,
@@ -64,7 +65,6 @@ __all__ = [
     "UnknownTagError",
     "UnsupportedVersionError",
     "WireError",
-    "attach_run_tracer",
     "corrupt_frame",
     "decode_message",
     "encode_message",

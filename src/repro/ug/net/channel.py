@@ -15,20 +15,9 @@ from __future__ import annotations
 import collections
 from typing import Any, Callable
 
-from repro.obs.trace import Tracer
 from repro.ug.messages import Message, MessageTag, SeqStamper
 from repro.ug.net.codec import FrameDecodeError, decode_frame, encode_batch, encode_message
 from repro.ug.net.transport import Transport, TransportClosedError
-
-
-def attach_run_tracer(tracer: Tracer | None, config: Any, lc: Any, solvers: dict[int, Any]) -> Tracer:
-    """One tracer per engine run, shared by every protocol component."""
-    if tracer is None:
-        tracer = Tracer(enabled=config.trace_enabled, capacity=config.trace_capacity)
-    lc.tracer = tracer
-    for solver in solvers.values():
-        solver.tracer = tracer
-    return tracer
 
 
 def corrupt_frame(frame: bytes, mode: str) -> bytes:

@@ -350,7 +350,7 @@ def decode_frame(frame: bytes) -> list[Message]:
 def roundtrip_message(msg: Message) -> Message:
     """Encode-then-decode ``msg``: a fresh, isolation-safe copy.
 
-    The ThreadEngine routes every delivery through this, giving thread
-    runs the same no-shared-mutable-state semantics as process runs.
+    What any wire channel does to a message, without the channel — the
+    codec tests' shorthand for "survives the wire unchanged".
     """
     return decode_message(encode_message(msg))

@@ -1,344 +1,68 @@
 """Deterministic in-process engine over the full net stack.
 
-:class:`LoopbackNetEngine` drives the LoadCoordinator and every
-ParaSolver cooperatively in one thread, but routes **every** message
-through the real wire path — per-rank :class:`MessageChannel` endpoints
-over :class:`LoopbackTransport` pairs, binary codec frames, frame-seam
-fault injection — so the distributed-memory machinery (encode/decode,
-CRC rejection, rank death, heartbeat reclaim) is testable bit-identically
-without spawning a single process.  It is to the ProcessEngine what the
-SimEngine is to MPI: the deterministic twin.
+:class:`LoopbackNetEngine` is the virtual-clock event heap of the
+:class:`~repro.ug.engines.SimEngine` with delivery swapped for the real
+wire path: **every** message crosses a per-rank
+:class:`~repro.ug.net.channel.MessageChannel` pair over
+:class:`~repro.ug.net.transport.LoopbackTransport` — binary codec frames,
+frame-seam fault injection — so the distributed-memory machinery
+(encode/decode, CRC rejection, rank death, heartbeat reclaim, elastic
+joins and drains) is testable bit-identically without spawning a single
+process.  It is to the ProcessEngine what the SimEngine is to MPI: the
+deterministic twin.
 
-Time is virtual: each scheduling round advances the clock by the largest
-work charge any solver reported (never less than ``config.latency``), so
-time/racing/heartbeat deadlines behave like the SimEngine's.
+A frame is shipped when its message is sent; the arrival event
+``config.latency`` virtual seconds later makes the receiver drain its
+endpoint.  A message the fault plan delays is held back on the heap
+instead and shipped by its own arrival event.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Any
-
-from repro.exceptions import CommError
-from repro.obs.trace import Tracer
-from repro.ug.cluster import ClusterPlan, RankWatchdog
-from repro.ug.config import UGConfig
-from repro.ug.faults import FaultInjector, make_retrying_send
-from repro.ug.load_coordinator import LoadCoordinator
-from repro.ug.messages import LOAD_COORDINATOR_RANK, Message, MessageTag, SeqStamper
-from repro.ug.net.channel import MessageChannel, attach_run_tracer
-from repro.ug.net.transport import LoopbackTransport
-from repro.ug.para_solver import ParaSolver
-
-#: consecutive no-progress rounds tolerated before the engine declares the
-#: run stalled and interrupts (only reachable with heartbeat detection off)
-_MAX_IDLE_ROUNDS = 8
+from repro.ug.engines import SimEngine
+from repro.ug.messages import LOAD_COORDINATOR_RANK, Message
 
 
-class LoopbackNetEngine:
+class LoopbackNetEngine(SimEngine):
     """Single-threaded, virtual-time engine over loopback transports."""
 
-    def __init__(
-        self,
-        lc: LoadCoordinator,
-        solvers: dict[int, ParaSolver],
-        config: UGConfig,
-        max_rounds: int = 2_000_000,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.lc = lc
-        self.solvers = solvers
-        self.config = config
-        self.max_rounds = max_rounds
-        self.injector = FaultInjector(config.fault_plan)
-        lc.fault_injector = self.injector
-        self.tracer = attach_run_tracer(tracer, config, lc, solvers)
-        self.now = 0.0
-        self._busy: dict[int, float] = {r: 0.0 for r in solvers}
-        self._nodes_total = 0
-        self._crash_noted: set[int] = set()
-        # delayed deliveries from message-level "delay" faults
-        self._delayed: list[tuple[float, int, int, Message]] = []
-        self._delay_seq = itertools.count()
-        # wire endpoints: lc <-> rank, one loopback pair per rank
-        self.lc_channels: dict[int, MessageChannel] = {}
-        self.rank_channels: dict[int, MessageChannel] = {}
-        self._lc_stamper = SeqStamper()
-        for rank in solvers:
-            self._wire_rank(rank)
-        # elastic membership: scripted joins/drains ride virtual time, and
-        # the watchdog (if any) books deterministic replacement joins
-        plan = config.cluster_plan or ClusterPlan()
-        self._events = plan.sorted_events()
-        self.watchdog = (
-            RankWatchdog(plan.restart_policy, clock=lambda: self.now)
-            if plan.restart_policy is not None
-            else None
-        )
-        self._death_seen: set[int] = set()
+    def _start_rank(self, rank: int) -> bool:
+        self._wire_loopback(rank)
+        return super()._start_rank(rank)
 
-    def _wire_rank(self, rank: int) -> None:
-        lc_end, rank_end = LoopbackTransport.pair()
-        self.lc_channels[rank] = MessageChannel(
-            lc_end,
-            local_rank=LOAD_COORDINATOR_RANK,
-            remote_rank=rank,
-            stamper=self._lc_stamper,
-            injector=self.injector,
-            metrics=self.lc.metrics,
-            tracer=self.tracer,
-            clock=lambda: self.now,
-        )
-        self.rank_channels[rank] = MessageChannel(
-            rank_end,
-            local_rank=rank,
-            remote_rank=LOAD_COORDINATOR_RANK,
-            stamper=SeqStamper(),
-            injector=self.injector,
-            tracer=self.tracer,
-            clock=lambda: self.now,
-        )
-
-    # -- send paths ------------------------------------------------------------
-
-    def _lc_send_raw(self, dst: int, tag: MessageTag, payload: Any) -> None:
-        self.injector.check_send(LOAD_COORDINATOR_RANK)
-        if dst not in self.lc_channels:
-            raise CommError(f"unknown rank {dst}")
-        msg = Message(tag=tag, src=LOAD_COORDINATOR_RANK, dst=dst, payload=payload,
-                      seq=self.lc_channels[dst].stamper())
-        self._route(msg)
-
-    def _rank_send_raw(self, src: int, dst: int, tag: MessageTag, payload: Any) -> None:
-        self.injector.check_send(src)
-        msg = Message(tag=tag, src=src, dst=dst, payload=payload,
-                      seq=self.rank_channels[src].stamper())
-        self._route(msg)
-
-    def _route(self, msg: Message) -> None:
-        """Apply message-level faults, then ship over the wire channel."""
-        action, extra_delay = self.injector.message_action(msg)
-        tracer = self.tracer
-        if action == "drop":
-            if tracer.enabled:
-                tracer.emit(self.now, "send", msg.src, dst=msg.dst, tag=msg.tag.value, action="drop")
-            return
-        if msg.dst != LOAD_COORDINATOR_RANK and self.injector.is_crashed(msg.dst):
-            if tracer.enabled:
-                tracer.emit(self.now, "send", msg.src, dst=msg.dst, tag=msg.tag.value, action="blackhole")
-            return
-        if tracer.enabled:
-            tracer.emit(self.now, "send", msg.src, dst=msg.dst, tag=msg.tag.value,
-                        action=action, delay=extra_delay)
-        if action == "delay" and extra_delay > 0:
-            heapq.heappush(self._delayed, (self.now + extra_delay, next(self._delay_seq), msg.dst, msg))
-            return
-        if msg.dst == LOAD_COORDINATOR_RANK:
-            # mirror the process worker's coalescing bit-identically:
-            # worker->LC messages ride the channel outbox and flush at the
-            # same loop seams (one BATCH frame per handle/work burst), so
-            # frame sequences — and frame-seam fault replay — match
+    def _post(self, msg: Message, now: float, extra_delay: float) -> None:
+        t = now + self.config.latency + extra_delay
+        if extra_delay > 0:
+            self._arrival(msg, t, msg)
+        elif msg.dst == LOAD_COORDINATOR_RANK:
+            # mirror the process worker's coalescing: worker->LC messages
+            # ride the channel outbox and flush at the same loop seams (one
+            # BATCH frame per handle/work burst), so frame sequences — and
+            # frame-seam fault replay — match
             self.rank_channels[msg.src].queue_message(msg)
-            return
-        self._ship(msg)
+        else:
+            self._arrival(msg, t, None)
+            self.channels[msg.dst].send_message(msg)  # frame faults inside
 
-    def _ship(self, msg: Message) -> None:
-        channel = (
-            self.rank_channels[msg.src]
-            if msg.dst == LOAD_COORDINATOR_RANK
-            else self.lc_channels[msg.dst]
-        )
-        channel.send_message(msg)  # frame faults + closed-peer blackhole inside
-
-    def _flush_delayed(self) -> None:
-        while self._delayed and self._delayed[0][0] <= self.now:
-            _, _, _, msg = heapq.heappop(self._delayed)
-            self._ship(msg)
-
-    # -- main loop --------------------------------------------------------------
-
-    def run(self) -> None:
-        lc = self.lc
-        lc_send = make_retrying_send(self._lc_send_raw, self.config, self.injector, real_time=False)
-        lc.start(lc_send, 0.0)
-        rounds = 0
-        idle_rounds = 0
-        while not lc.finished:
-            rounds += 1
-            if rounds > self.max_rounds:
-                raise CommError("LoopbackNetEngine exceeded max_rounds — protocol livelock?")
-            self._flush_delayed()
-            progressed = self._pump_lc(lc_send)
-            if lc.finished:
-                break
-            if self.now >= self.config.time_limit or self._nodes_total >= self.config.node_limit:
-                lc.interrupt(lc_send, self.now)
-                break
-            progressed = self._membership_tick(lc_send) or progressed
-            if lc.finished:
-                break
-            round_work = 0.0
-            for rank in sorted(self.solvers):
-                if lc.finished:
-                    break
-                work, pumped = self._pump_solver(rank)
-                round_work = max(round_work, work)
-                progressed = progressed or pumped or work > 0
-            lc.on_tick(lc_send, self.now)
-            if not progressed and not self._delayed:
-                idle_rounds += 1
-                # with heartbeat detection off the clock advancing changes
-                # nothing — a silent stall would spin to max_rounds, so
-                # give the protocol a few rounds of grace and interrupt
-                if (
-                    idle_rounds > _MAX_IDLE_ROUNDS
-                    and self.config.heartbeat_timeout == float("inf")
-                    and self.config.time_limit == float("inf")
-                ):
-                    lc.interrupt(lc_send, self.now)
-                    break
-            else:
-                idle_rounds = 0
-            self.now += max(round_work, self.config.latency)
-        if not lc.finished:
-            lc.interrupt(lc_send, self.now)
-        # drain termination frames so surviving solver states are final
-        self._flush_delayed()
-        for rank in sorted(self.solvers):
-            if not self.injector.is_crashed(rank):
-                self._pump_solver(rank, deliver_only=True)
-        lc.stats.solver_busy = dict(self._busy)
-        self.injector.export_stats(lc.stats)
-        self._compute_idle_ratio()
-
-    # -- elastic membership ------------------------------------------------------
-
-    def _membership_tick(self, lc_send: Any) -> bool:
-        """Fire due scripted joins/drains and watchdog replacements."""
-        lc = self.lc
-        progressed = False
-        # feed newly observed deaths (heartbeat- or crash-detected) to the
-        # watchdog so a deterministic replacement join gets booked
-        for rank in sorted(lc.dead - self._death_seen):
-            self._death_seen.add(rank)
-            if self.watchdog is not None:
-                self.watchdog.note_death(rank, self.now)
-        while self._events and self._events[0].at_time <= self.now:
-            ev = self._events.pop(0)
-            if lc.finished:
-                return progressed
-            if ev.action == "join":
-                self._join_rank(lc_send, ev.rank)
-                progressed = True
-            else:
-                target = ev.rank
-                if target is None:
-                    candidates = lc.live_solvers() - lc.draining
-                    target = max(candidates) if candidates else None
-                if target is not None:
-                    lc.request_drain(target, lc_send, self.now)
-                    progressed = True
-        if self.watchdog is not None:
-            for root in self.watchdog.due(self.now):
-                if lc.finished:
-                    return progressed
-                rank = self._join_rank(lc_send, None)
-                lc.metrics.inc("ranks_restarted")
-                self.watchdog.bind(rank, root)
-                self.tracer.emit(self.now, "rank_restart", rank, root=root)
-                progressed = True
-        return progressed
-
-    def _join_rank(self, lc_send: Any, rank: int | None = None) -> int:
-        """Admit a fresh rank mid-solve: a new ParaSolver built from the
-        run identity (presolved instance, base params, seed), wired over a
-        fresh loopback pair, welcomed by the LoadCoordinator."""
-        lc = self.lc
-        if rank is None:
-            rank = lc.next_rank_id()
-        solver = ParaSolver(
-            rank=rank,
-            instance=lc.instance,
-            user_plugins=lc.user_plugins,
-            params=lc.params,
-            seed=lc.seed,
-            status_interval_work=self.config.status_interval_work,
-            min_open_to_shed=self.config.min_open_to_shed,
-            objective_epsilon=self.config.objective_epsilon,
-            transfer_batch=self.config.net_batch_nodes,
-        )
-        # attach_run_tracer only saw launch-time solvers
-        solver.tracer = self.tracer
-        self.solvers[rank] = solver
-        self._wire_rank(rank)
-        self._busy.setdefault(rank, 0.0)
-        lc.note_rank_join(lc_send, self.now, rank=rank)
-        return rank
-
-    # -- per-component pumps -----------------------------------------------------
-
-    def _pump_lc(self, lc_send: Any) -> bool:
-        """Deliver every queued worker->LC message, in rank order."""
-        lc = self.lc
-        progressed = False
-        tracer = self.tracer
-        for rank in sorted(self.lc_channels):
-            for msg in self.lc_channels[rank].drain():
-                progressed = True
-                if tracer.enabled:
-                    tracer.emit(self.now, "deliver", LOAD_COORDINATOR_RANK, src=msg.src, tag=msg.tag.value)
-                if not lc.finished:
-                    lc.handle_message(msg, lc_send, self.now)
-                    lc.on_tick(lc_send, self.now)
-        return progressed
-
-    def _pump_solver(self, rank: int, deliver_only: bool = False) -> tuple[float, bool]:
-        solver = self.solvers[rank]
-        tracer = self.tracer
-        if solver.state == "terminated":
-            return 0.0, False
-        if self.injector.maybe_crash(rank, self.now, solver.nodes_processed_total):
-            if rank not in self._crash_noted:
-                self._crash_noted.add(rank)
-                tracer.emit(self.now, "crash", rank, nodes=solver.nodes_processed_total)
-                # a dead rank's endpoint goes away, exactly like a killed
-                # process: later sends to it black-hole at the channel
-                self.rank_channels[rank].close()
-            return 0.0, False
-
-        def send(dst: int, tag: MessageTag, payload: Any) -> None:
-            self._rank_send_raw(rank, dst, tag, payload)
-
-        send_fn = make_retrying_send(send, self.config, self.injector, real_time=False)
+    def _end_burst(self, rank: int) -> None:
         channel = self.rank_channels[rank]
-        pumped = False
-        for msg in channel.drain():
-            pumped = True
-            if tracer.enabled:
-                tracer.emit(self.now, "deliver", rank, src=msg.src, tag=msg.tag.value)
-            solver.handle_message(msg, send_fn)
-            if solver.state == "terminated":
-                channel.flush()  # the goodbye (DRAINED/TERMINATED) must ship
-                return 0.0, True
-        channel.flush()  # same seam as the process worker: end of handle burst
-        if deliver_only or not solver.is_busy:
-            return 0.0, pumped
-        nodes_before = solver.nodes_processed_total
-        work = solver.do_work(send_fn) or 0.0
-        self._nodes_total += solver.nodes_processed_total - nodes_before
-        channel.flush()  # same seam as the process worker: end of work step
-        if work > 0:
-            self._busy[rank] += work
-            if tracer.enabled:
-                tracer.emit(self.now, "work", rank, work=work)
-        return work, pumped
+        shipped = channel.frames_sent
+        channel.flush()
+        if channel.frames_sent > shipped:  # nothing queued or frame dropped: no arrival
+            self._push(self._clock[rank] + self.config.latency, "lcmsg", rank)
 
-    def _compute_idle_ratio(self) -> None:
-        span = self.lc.stats.computing_time or self.now
-        if span <= 0 or not self.solvers:
-            self.lc.metrics.set("idle_ratio", 0.0)
-            return
-        total = span * len(self.solvers)
-        busy = sum(min(b, span) for b in self._busy.values())
-        self.lc.metrics.set("idle_ratio", max(0.0, 1.0 - busy / total))
+    def _run_solver(self, rank: int) -> None:
+        super()._run_solver(rank)
+        # a process parent sees a worker inside a long node step alive
+        # (``is_alive()``); this twin sees the rank's clock ahead of the
+        # heap's, so ``heartbeat_timeout`` need not exceed the longest step
+        if self._clock[rank] > self.now:
+            self.lc.note_rank_alive(rank, self._clock[rank])
+
+    def _collect(self, rank: int, msg: Message | None, to_lc: bool) -> list[Message]:
+        sender, receiver = (
+            (self.rank_channels, self.channels) if to_lc else (self.channels, self.rank_channels)
+        )
+        if msg is not None:
+            sender[rank].send_message(msg)
+        return receiver[rank].drain()

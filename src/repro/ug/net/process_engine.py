@@ -1,19 +1,14 @@
 """True-parallel engine: one OS process per ParaSolver rank.
 
-The :class:`ProcessEngine` is the third engine of the family (DESIGN.md
-§5e).  Where the SimEngine simulates and the ThreadEngine shares one GIL,
-this engine launches every rank in its own ``multiprocessing.Process``
-(spawn context — no inherited state, same start semantics on every
-platform) and routes *all* traffic through the binary wire codec over a
-pluggable transport: ``multiprocessing.Pipe`` by default, TCP sockets
-with a rank/token hello handshake when ``config.net_transport == "tcp"``.
-
-Failure story: a child that dies (killed, crashed, injected
-``SolverCrash`` → hard ``os._exit``) is observed by the parent — dead
-process sentinel, closed pipe, or heartbeat silence — and funneled into
-:meth:`LoadCoordinator.note_rank_death`, the same reclaim/continue path
-PR 1 built for heartbeat timeouts.  The run degrades gracefully and never
-claims a proven optimum over a lost subtree.
+The :class:`ProcessEngine` is the wall-clock poll loop of
+:class:`~repro.ug.engine_core.WallClockEngine` (DESIGN.md §5e) with every
+rank's :func:`~repro.ug.engine_core.rank_loop` in its own
+``multiprocessing.Process`` (spawn context — no inherited state, same
+start semantics on every platform; an injected ``SolverCrash`` is a hard
+``os._exit``) over a pluggable transport: ``multiprocessing.Pipe`` by
+default, TCP sockets with a rank/token hello handshake when
+``config.net_transport == "tcp"``.  Gracefully finished pipe workers are
+parked in a warm pool and re-armed by the next run.
 
 The worker entry point lives at module top level so the spawn context can
 import it; everything shipped to a child is plain picklable data (no
@@ -23,7 +18,6 @@ sockets, no handles — TCP children dial back and authenticate).
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import time
@@ -32,12 +26,13 @@ from typing import Any
 
 from repro.cip.params import ParamSet
 from repro.exceptions import CommError
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.ug.config import UGConfig
-from repro.ug.faults import FaultInjector, make_retrying_send
+from repro.ug.engine_core import MessageRouter, WallClockEngine, build_para_solver, rank_loop
+from repro.ug.faults import FaultInjector
 from repro.ug.load_coordinator import LoadCoordinator
-from repro.ug.messages import LOAD_COORDINATOR_RANK, Message, MessageTag, SeqStamper
-from repro.ug.net.channel import MessageChannel, attach_run_tracer
+from repro.ug.messages import LOAD_COORDINATOR_RANK, MessageTag
+from repro.ug.net.channel import MessageChannel
 from repro.ug.net.transport import (
     PipeTransport,
     TcpTransport,
@@ -90,136 +85,74 @@ def _child_transport(spec: _SolverSpec, conn: Any) -> Transport:
     return transport
 
 
-def _worker_main(spec: _SolverSpec, conn: Any) -> None:
-    """Process entry point for one spawn-per-run ParaSolver rank."""
+def _worker_main(conn: Any, spec: _SolverSpec | None = None) -> None:
+    """Process entry point of a worker.
+
+    With a ``spec``: one spawn-per-run ParaSolver rank.  Without: a
+    *reusable* (warm-pool) worker, pipe mode only, armed by a pickled
+    :class:`_SolverSpec` arriving on the Connection — the same trust
+    boundary as spawn args, NOT the wire codec, which stays pickle-free.
+    It runs one full ParaSolver lifetime, marks the run boundary with a
+    RESET frame, and loops back for the next spec; ``None`` retires it.
+    Any abnormal run exit (injected crash, lost coordinator) kills the
+    process either way, so a tainted worker can never re-enter the pool.
+    """
     try:
-        code = _worker_loop(spec, conn)
-    except (TransportClosedError, EOFError, BrokenPipeError):
-        code = EXIT_COMM_LOST
-    except KeyboardInterrupt:  # pragma: no cover - operator interrupt
+        if spec is not None:
+            code = _worker_loop(spec, conn)
+        else:
+            code = EXIT_OK
+            # conn.recv(): parent-controlled pickle, like spawn args
+            while code == EXIT_OK and (spec := conn.recv()) is not None:
+                code = _worker_loop(spec, conn, reusable=True)
+    except (TransportClosedError, EOFError, OSError, KeyboardInterrupt):
         code = EXIT_COMM_LOST
     # _exit: skip atexit/teardown races in a dying worker — the parent
     # only cares about the code
     os._exit(code)
 
 
-def _pooled_worker_main(conn: Any) -> None:
-    """Entry point for a *reusable* (warm-pool) worker, pipe mode only.
-
-    The worker is armed by a pickled :class:`_SolverSpec` arriving on the
-    Connection — the same trust boundary as spawn args, NOT the wire
-    codec, which stays pickle-free — runs one full ParaSolver lifetime,
-    marks the run boundary with a RESET frame, and loops back for the
-    next spec.  ``None`` retires the worker; any abnormal run exit
-    (injected crash, lost coordinator) kills the process exactly like a
-    spawn-per-run worker, so a tainted worker can never re-enter the pool.
-    """
-    code = EXIT_OK
-    try:
-        while True:
-            spec = conn.recv()  # parent-controlled pickle, like spawn args
-            if spec is None:
-                break
-            code = _worker_loop(spec, conn, reusable=True)
-            if code != EXIT_OK:
-                break
-    except (TransportClosedError, EOFError, BrokenPipeError, OSError):
-        code = EXIT_COMM_LOST
-    except KeyboardInterrupt:  # pragma: no cover - operator interrupt
-        code = EXIT_COMM_LOST
-    os._exit(code)
-
-
 def _worker_loop(spec: _SolverSpec, conn: Any, reusable: bool = False) -> int:
+    """One full ParaSolver lifetime in this process: build the rank from
+    its spec and run the shared :func:`~repro.ug.engine_core.rank_loop`."""
     config = spec.config
-    solver = ParaSolver(
-        rank=spec.rank,
-        instance=spec.instance,
-        user_plugins=spec.user_plugins,
-        params=spec.params,
-        seed=spec.seed,
-        status_interval_work=config.status_interval_work,
-        min_open_to_shed=config.min_open_to_shed,
-        objective_epsilon=config.objective_epsilon,
-        transfer_batch=config.net_batch_nodes,
+    solver = build_para_solver(
+        spec.rank, spec.instance, spec.user_plugins, spec.params, spec.seed, config
     )
     injector = FaultInjector(config.fault_plan)
     channel = MessageChannel(
         _child_transport(spec, conn),
         local_rank=spec.rank,
         remote_rank=LOAD_COORDINATOR_RANK,
-        stamper=SeqStamper(),
         injector=injector,
     )
     t0 = time.perf_counter()
-    busy_wall = 0.0
-
-    def raw_send(dst: int, tag: MessageTag, payload: Any) -> None:
-        injector.check_send(spec.rank)
-        # ride the wall-clock busy total along on status/termination
-        # reports so the parent can fill UGStatistics.solver_busy without
-        # a second accounting channel
-        if isinstance(payload, dict) and tag in (MessageTag.STATUS, MessageTag.TERMINATED):
-            payload = dict(payload, busy_wall=busy_wall)
-        # coalesce: everything a handling/work burst produces rides one
-        # BATCH frame, flushed at the loop's seams below
-        channel.queue(dst, tag, payload)
-
-    def flush() -> None:
-        if not channel.flush():
-            raise TransportClosedError("coordinator is gone")
-
-    def finish() -> int:
-        """Graceful run end.  Spawn-per-run: flush and close (a TCP
-        worker's goodbye frames sit in the sender queue; ``close()``
-        drains them).  Pooled: mark the run boundary with RESET and keep
-        the pipe open for the next spec.  Injected crashes skip all of
-        this on purpose — they must look like a kill, not a leave."""
-        flush()
-        if reusable:
-            if not channel.send(LOAD_COORDINATOR_RANK, MessageTag.RESET, {"rank": spec.rank}):
-                return EXIT_COMM_LOST
-            return EXIT_OK
-        channel.close()
+    router = MessageRouter(injector, NULL_TRACER, config)
+    if not rank_loop(solver, channel, router, lambda: time.perf_counter() - t0):
+        return EXIT_INJECTED_CRASH  # no goodbye: it must look like a kill, not a leave
+    # Graceful run end.  Pooled: mark the run boundary with RESET and keep
+    # the pipe open for the next spec.  Spawn-per-run: close (a TCP
+    # worker's goodbye frames sit in the sender queue; ``close()`` drains
+    # them).
+    if reusable:
+        if not channel.send(LOAD_COORDINATOR_RANK, MessageTag.RESET, {"rank": spec.rank}):
+            return EXIT_COMM_LOST
         return EXIT_OK
-
-    send = make_retrying_send(raw_send, config, injector, real_time=True)
-    poll = max(config.net_poll_interval, 1e-4)
-    while solver.state != "terminated":
-        now = time.perf_counter() - t0
-        if injector.maybe_crash(spec.rank, now, solver.nodes_processed_total):
-            return EXIT_INJECTED_CRASH  # die abruptly, exactly like a kill
-        if solver.is_busy:
-            # busy wall-clock covers the whole working burst — message
-            # decode/handling, the solver step and the encode/flush — so
-            # idle_ratio counts only genuine waiting-for-work time
-            t_work = time.perf_counter()
-            while True:
-                msg = channel.recv(0.0)
-                if msg is None:
-                    break
-                solver.handle_message(msg, send)
-                if solver.state == "terminated":
-                    busy_wall += time.perf_counter() - t_work
-                    return finish()
-            flush()
-            if not solver.is_busy:
-                busy_wall += time.perf_counter() - t_work
-                continue
-            solver.do_work(send)
-            flush()
-            busy_wall += time.perf_counter() - t_work
-        else:
-            msg = channel.recv(poll)
-            if msg is not None:
-                t_work = time.perf_counter()
-                solver.handle_message(msg, send)
-                flush()
-                busy_wall += time.perf_counter() - t_work
-    return finish()
+    channel.close()
+    return EXIT_OK
 
 
 # -- warm worker pool --------------------------------------------------------------
+
+
+def _start_pipe_worker(ctx: Any, name: str, spec: _SolverSpec | None = None) -> tuple[Any, Any]:
+    """Spawn a worker on a fresh duplex pipe (pooled when ``spec`` is
+    None); returns the process and the parent's Connection."""
+    parent_conn, child_conn = ctx.Pipe(duplex=True)
+    proc = ctx.Process(target=_worker_main, args=(child_conn, spec), name=name, daemon=True)
+    proc.start()
+    child_conn.close()
+    return proc, parent_conn
 
 
 class _WarmWorkerPool:
@@ -254,25 +187,14 @@ class _WarmWorkerPool:
                 return
         conn.close()
 
-    def warm(self, n: int, ctx: Any = None) -> int:
+    def warm(self, n: int) -> int:
         """Pre-spawn workers until ``n`` sit idle; returns how many were
         actually spawned.  Call before timing-sensitive runs (benchmarks,
         serving) so no measured run pays interpreter start-up."""
-        ctx = ctx or multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("spawn")
         with self._lock:
             missing = max(0, n - len(self._idle))
-        fresh: list[tuple[Any, Any]] = []
-        for _ in range(missing):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_pooled_worker_main,
-                args=(child_conn,),
-                name="ParaSolver-pooled",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            fresh.append((proc, parent_conn))
+        fresh = [_start_pipe_worker(ctx, "ParaSolver-pooled") for _ in range(missing)]
         with self._lock:
             self._idle.extend(fresh)
         return len(fresh)
@@ -307,8 +229,12 @@ def warm_pool(n: int) -> int:
     return WORKER_POOL.warm(n)
 
 
-class ProcessEngine:
-    """Distributed-memory engine over spawned worker processes."""
+class ProcessEngine(WallClockEngine):
+    """Distributed-memory engine over spawned worker processes.
+
+    The parent's solver objects are templates only: each child rebuilds
+    its ParaSolver from the spec, so no state is shared.
+    """
 
     def __init__(
         self,
@@ -317,142 +243,78 @@ class ProcessEngine:
         config: UGConfig,
         tracer: Tracer | None = None,
     ) -> None:
-        self.lc = lc
-        # the parent's solver objects are templates only: each child
-        # rebuilds its ParaSolver from the spec, so no state is shared
-        self.solvers = solvers
-        self.config = config
-        self.injector = FaultInjector(config.fault_plan)
-        lc.fault_injector = self.injector
-        self.tracer = attach_run_tracer(tracer, config, lc, solvers)
-        self.channels: dict[int, MessageChannel] = {}
-        self.procs: dict[int, multiprocessing.process.BaseProcess] = {}
-        self._busy: dict[int, float] = {r: 0.0 for r in solvers}
-        self._down: set[int] = set()
-        self._t0 = 0.0
-        # per-rank alive intervals: idle_ratio charges each rank only for
-        # the wall time its process actually existed (a late joiner or an
-        # early-drained rank must not be billed for the full run span)
-        self._alive_since: dict[int, float] = {}
-        self._alive_span: dict[int, float] = {}
-        self._last_death_poll = 0.0
-        # injected-delay timers: cancelled in _shutdown so a late firing
-        # can never race a closing channel
-        self._timers: list[threading.Timer] = []
-        # warm-pool bookkeeping: ranks running in a reusable worker, and
-        # ranks whose worker was already parked back into the pool
-        self._use_pool = False
-        self._pooled: set[int] = set()
-        self._parked: set[int] = set()
-        # launch plumbing kept on self so a rank can also be spawned
-        # *after* launch (ClusterSupervisor joins)
+        super().__init__(lc, solvers, config, tracer)
+        # the pool is pipe-only (a pooled worker keeps its Connection
+        # across runs; TCP workers dial per run) and never mixes with
+        # fault plans: an injected crash must kill a process for real,
+        # and replay determinism assumes spawn-fresh workers
+        self._use_pool = config.net_transport == "pipe" and config.fault_plan is None
         self._ctx = multiprocessing.get_context("spawn")
-        self._lc_stamper = SeqStamper()
-        self._mode = ""
+        # TCP mode only: the dial-back address and the run's shared secret
         self._listener: Any = None
         self._tcp_addr: tuple[str, int] | None = None
         self._token = b""
 
     # -- launch ------------------------------------------------------------------
 
-    def _spec_for(self, rank: int, tcp_addr: tuple[str, int] | None, token: bytes) -> _SolverSpec:
-        # launch ranks carry their template's identity; a late joiner has
-        # no template, so it inherits the LoadCoordinator's run identity
-        # (presolved instance, base params, seed)
-        solver = self.solvers.get(rank)
+    def _spec_for(self, rank: int) -> _SolverSpec:
+        template = self.solvers[rank]
         return _SolverSpec(
             rank=rank,
-            instance=solver.instance if solver is not None else self.lc.instance,
-            user_plugins=solver.user_plugins if solver is not None else self.lc.user_plugins,
-            params=solver.base_params if solver is not None else self.lc.params,
-            seed=solver.seed if solver is not None else self.lc.seed,
+            instance=template.instance,
+            user_plugins=template.user_plugins,
+            params=template.base_params,
+            seed=template.seed,
             config=self.config,
-            tcp_addr=tcp_addr,
-            tcp_token=token,
+            tcp_addr=self._tcp_addr,
+            tcp_token=self._token,
         )
 
     def _launch(self) -> None:
-        mode = self.config.net_transport
-        if mode not in ("pipe", "tcp"):
-            raise CommError(f"unknown net_transport {mode!r} (want 'pipe' or 'tcp')")
-        self._mode = mode
-        # the pool is pipe-only (a pooled worker keeps its Connection
-        # across runs; TCP workers dial per run) and never mixes with
-        # fault plans: an injected crash must kill a process for real,
-        # and replay determinism assumes spawn-fresh workers
-        self._use_pool = (
-            mode == "pipe" and self.config.net_warm_pool and self.config.fault_plan is None
-        )
-        if mode == "tcp":
+        if self.config.net_transport == "tcp":
             self._listener = tcp_listener()
             self._tcp_addr = self._listener.getsockname()
             self._token = make_hello_token()
-        for rank in sorted(self.solvers):
-            self._spawn_rank(rank)
+        super()._launch()
         if self._listener is not None:
             try:
-                self._accept_tcp(self._listener, self._token, self._lc_stamper)
+                self._accept_tcp()
             finally:
                 self._close_listener()
 
-    def _spawn_rank(self, rank: int) -> None:
+    def _start_rank(self, rank: int) -> bool:
         """Fork one worker process; pipe mode wires its channel immediately,
         TCP mode waits for the dial-back.  With the warm pool on, pipe mode
         re-arms a parked worker (or spawns a reusable one) instead."""
-        if self._mode == "pipe":
-            if self._use_pool:
-                proc, parent_conn = self._arm_pooled(rank)
-            else:
-                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(self._spec_for(rank, None, b""), child_conn),
-                    name=f"ParaSolver-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-            transport: Transport = PipeTransport(parent_conn)
-            self.channels[rank] = self._make_channel(rank, transport, self._lc_stamper)
-        else:
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(self._spec_for(rank, self._tcp_addr, self._token), None),
-                name=f"ParaSolver-{rank}",
-                daemon=True,
-            )
+        spec = self._spec_for(rank)
+        name = f"ParaSolver-{rank}"
+        if self._tcp_addr is not None:
+            proc = self._ctx.Process(target=_worker_main, args=(None, spec), name=name, daemon=True)
             proc.start()
-        self.procs[rank] = proc
-        self._alive_since[rank] = self._now()
+        else:
+            if self._use_pool:
+                proc, conn = self._arm_pooled(spec, name)
+            else:
+                proc, conn = _start_pipe_worker(self._ctx, name, spec)
+            self.channels[rank] = self._channel(PipeTransport(conn), LOAD_COORDINATOR_RANK, rank)
+        self.workers[rank] = proc
+        self._begin_alive(rank, self._now())
+        return rank in self.channels
 
-    def _arm_pooled(self, rank: int) -> tuple[Any, Any]:
+    def _arm_pooled(self, spec: _SolverSpec, name: str) -> tuple[Any, Any]:
         """Hand a spec to a pooled worker, reusing a parked one if any."""
-        spec = self._spec_for(rank, None, b"")
-        while True:
-            acquired = WORKER_POOL.acquire()
-            if acquired is None:
-                break
-            proc, parent_conn = acquired
+        while (acquired := WORKER_POOL.acquire()) is not None:
+            proc, conn = acquired
             try:
-                parent_conn.send(spec)
+                conn.send(spec)
             except (BrokenPipeError, OSError):
-                parent_conn.close()  # died between park and reuse
+                conn.close()  # died between park and reuse
                 continue
-            self._pooled.add(rank)
             self.lc.metrics.inc("warm_pool_reuses")
-            return proc, parent_conn
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_pooled_worker_main,
-            args=(child_conn,),
-            name=f"ParaSolver-{rank}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        parent_conn.send(spec)
-        self._pooled.add(rank)
-        return proc, parent_conn
+            return proc, conn
+        proc, conn = _start_pipe_worker(self._ctx, name)
+        conn.send(spec)
+        return proc, conn
 
     def _close_listener(self) -> None:
         """Initial accepts done; the static engine needs no more dial-ins.
@@ -461,289 +323,68 @@ class ProcessEngine:
             self._listener.close()
             self._listener = None
 
-    def _accept_tcp(self, listener: Any, token: bytes, stamper: SeqStamper) -> None:
+    def _accept_tcp(self) -> None:
+        """Block until every launch rank has dialed in."""
         deadline = time.monotonic() + self.config.net_connect_timeout * max(len(self.solvers), 1)
-        listener.settimeout(1.0)
-        while len(self.channels) < len(self.solvers):
+        self._listener.settimeout(1.0)
+        missing = set(self.solvers)
+        while missing:
             if time.monotonic() > deadline:
-                missing = sorted(set(self.solvers) - set(self.channels))
-                raise CommError(f"ranks {missing} never dialed in")
-            try:
-                sock, _addr = listener.accept()
-            except OSError:
-                continue
-            hello = recv_hello(sock, self.config.net_connect_timeout)
-            if hello is None:
-                sock.close()
-                continue
-            rank, got_token = hello
-            if (
-                not hello_token_matches(got_token, token)
-                or rank not in self.solvers
-                or rank in self.channels
-            ):
-                sock.close()  # stranger (or duplicate): not our worker
-                continue
-            sock.settimeout(None)
-            transport = TcpTransport(sock, max_outbound=self.config.net_outbound_queue)
-            self.channels[rank] = self._make_channel(rank, transport, stamper)
+                raise CommError(f"ranks {sorted(missing)} never dialed in")
+            hit = self._accept_hello(missing)
+            if hit is not None:
+                missing.discard(hit[0])
+                self._wire_tcp(*hit)
 
-    def _make_channel(self, rank: int, transport: Transport, stamper: SeqStamper) -> MessageChannel:
-        return MessageChannel(
-            transport,
-            local_rank=LOAD_COORDINATOR_RANK,
-            remote_rank=rank,
-            stamper=stamper,
-            injector=self.injector,
-            metrics=self.lc.metrics,
-            tracer=self.tracer,
-            clock=self._now,
-        )
+    def _accept_hello(self, expected: set[int]) -> tuple[int, Any] | None:
+        """One authenticated dial-in from an expected rank, or None (nobody
+        dialed within the listener timeout, or a stranger was dropped)."""
+        try:
+            sock, _addr = self._listener.accept()
+        except OSError:
+            return None
+        hello = recv_hello(sock, self.config.net_connect_timeout)
+        if hello is None or not hello_token_matches(hello[1], self._token) or hello[0] not in expected:
+            sock.close()  # stranger, replay, duplicate or unexpected rank
+            return None
+        return hello[0], sock
 
-    # -- parent-side plumbing ----------------------------------------------------
+    def _wire_tcp(self, rank: int, sock: Any) -> None:
+        """An authenticated dial-in becomes ``rank``'s channel."""
+        sock.settimeout(None)
+        transport = TcpTransport(sock, max_outbound=self.config.net_outbound_queue)
+        self.channels[rank] = self._channel(transport, LOAD_COORDINATOR_RANK, rank)
 
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
+    # -- teardown ----------------------------------------------------------------
 
-    def _lc_send_raw(self, dst: int, tag: MessageTag, payload: Any) -> None:
-        self.injector.check_send(LOAD_COORDINATOR_RANK)
-        channel = self.channels.get(dst)
-        if channel is None:
-            if dst in self._parked:
-                return  # worker already back in the pool: black hole, like a closed channel
-            raise CommError(f"unknown rank {dst}")
-        msg = Message(tag=tag, src=LOAD_COORDINATOR_RANK, dst=dst, payload=payload, seq=channel.stamper())
-        action, extra_delay = self.injector.message_action(msg)
-        if action == "drop":
-            return
-        if action == "delay" and extra_delay > 0:
-            # guard + track: a Timer that fires after _shutdown closed the
-            # channel must not race the transport (send_message itself
-            # black-holes a closed transport; the guard skips the common
-            # case, _shutdown cancels whatever hasn't fired yet)
-            def _deliver_late(channel: MessageChannel = channel, msg: Message = msg) -> None:
-                if not channel.closed:
-                    channel.send_message(msg)
+    def _on_reset(self, rank: int) -> None:
+        """A pooled worker finished its run gracefully: return it to the
+        pool and retire the rank without closing the Connection."""
+        if self._use_pool:
+            channel = self.channels.pop(rank)
+            self._retire(rank)  # its channel is out of reach: nothing gets closed
+            if not channel.closed:
+                WORKER_POOL.release(self.workers.pop(rank), channel.transport.conn)
 
-            timer = threading.Timer(extra_delay, _deliver_late)
-            timer.daemon = True
-            self._timers.append(timer)
-            timer.start()
-            return
-        channel.send_message(msg)  # False (dead peer) = black hole
+    def _reap(self, deadline: float) -> None:
+        """Healthy pooled workers are read to their RESET marker, which
+        parks them for reuse; everybody else (and a pooled rank wedged
+        mid-step past the grace period) is joined, then killed."""
 
-    def _end_alive(self, rank: int) -> None:
-        """Close out a rank's alive interval (idempotent)."""
-        since = self._alive_since.pop(rank, None)
-        if since is not None:
-            self._alive_span[rank] = self._alive_span.get(rank, 0.0) + max(self._now() - since, 0.0)
+        def unparked() -> list[int]:
+            return [
+                rank
+                for rank in sorted(self.channels)
+                if self._use_pool and rank not in self._gone and self.workers[rank].is_alive()
+            ]
 
-    def _park_pooled(self, rank: int) -> None:
-        """RESET received: the worker finished its run gracefully — return
-        it to the pool and retire the rank without closing the Connection."""
-        proc = self.procs.pop(rank, None)
-        channel = self.channels.pop(rank, None)
-        self._end_alive(rank)
-        self._parked.add(rank)
-        if proc is None or channel is None or channel.closed:
-            return
-        conn = getattr(channel.transport, "conn", None)
-        if conn is None:  # pragma: no cover - pooled ranks are pipe-only
-            return
-        WORKER_POOL.release(proc, conn)
-
-    def _note_death(self, rank: int, send: Any, reason: str) -> None:
-        if rank in self._down:
-            return
-        self._down.add(rank)
-        self._end_alive(rank)
-        channel = self.channels.get(rank)
-        if channel is not None and not channel.closed:
-            channel.close()
-        self.lc.note_rank_death(rank, send, self._now(), reason=reason)
-
-    def _poll_deaths(self, send: Any) -> None:
-        lc = self.lc
-        for rank, proc in list(self.procs.items()):
-            if rank in self._down or proc.is_alive():
-                continue
-            if lc.finished:
-                return
-            if rank in lc.draining:
-                # graceful exit in flight: its DRAINED may still sit in the
-                # pipe — deliver before classifying the exit
-                self._drain_channel(rank, send)
-            if rank in lc.departed:
-                # drain completed: retire the channel without a death note
-                self._down.add(rank)
-                self._end_alive(rank)
-                channel = self.channels.get(rank)
-                if channel is not None and not channel.closed:
-                    channel.close()
-                continue
-            self._note_death(rank, send, reason=f"process exited (code {proc.exitcode})")
-
-    def _drain_channel(self, rank: int, send: Any) -> None:
-        """Deliver whatever frames an exited rank left buffered."""
-        channel = self.channels.get(rank)
-        if channel is None or channel.closed:
-            return
-        lc = self.lc
-        while not lc.finished:
-            try:
-                msg = channel.recv(0.0)
-            except TransportClosedError:
-                return
-            if msg is None:
-                return
-            if msg.tag is MessageTag.RESET:
-                continue  # pooled run-boundary marker, not a protocol message
-            now = self._now()
-            if isinstance(msg.payload, dict) and "busy_wall" in msg.payload:
-                self._busy[msg.src] = float(msg.payload["busy_wall"])
-            lc.handle_message(msg, send, now)
-            lc.on_tick(send, now)
-
-    def _membership_tick(self, send: Any) -> None:
-        """Hook for runtime membership changes (no-op in the static engine;
-        the ClusterSupervisor admits joiners and fires drains here)."""
-
-    def _wait_readable(self, timeout: float) -> None:
-        waitable = []
-        for rank, channel in self.channels.items():
-            if rank in self._down or channel.closed:
-                continue
-            transport = channel.transport
-            obj = getattr(transport, "conn", None) or getattr(transport, "sock", None)
-            if obj is not None:
-                waitable.append(obj)
-        if waitable:
-            multiprocessing.connection.wait(waitable, timeout)
-        else:
-            time.sleep(timeout)
-
-    # -- main loop ---------------------------------------------------------------
-
-    def run(self) -> None:
-        lc = self.lc
-        self._t0 = time.perf_counter()
-        self._launch()
-        send = make_retrying_send(self._lc_send_raw, self.config, self.injector, real_time=True)
-        lc.start(send, 0.0)
-        poll = max(self.config.net_poll_interval, 1e-4)
-        tracer = self.tracer
-        while not lc.finished:
-            now = self._now()
-            if now >= self.config.time_limit or lc.nodes_processed_total() >= self.config.node_limit:
-                lc.interrupt(send, now)
-                break
-            self._membership_tick(send)
-            if lc.finished:
-                break
-            progressed = False
-            for rank in sorted(self.channels):
-                if rank in self._down or lc.finished:
-                    continue
-                channel = self.channels.get(rank)
-                if channel is None:  # parked mid-scan by a RESET
-                    continue
-                while not lc.finished:
-                    try:
-                        msg = channel.recv(0.0)
-                    except TransportClosedError:
-                        self._note_death(rank, send, reason="connection closed")
-                        break
-                    if msg is None:
-                        break
-                    progressed = True
-                    if msg.tag is MessageTag.RESET:
-                        # a drained pooled worker finished its run mid-flight:
-                        # park it for reuse and stop reading this rank
-                        if rank in self._pooled:
-                            self._park_pooled(rank)
-                        break
-                    now = self._now()
-                    if tracer.enabled:
-                        tracer.emit(now, "deliver", LOAD_COORDINATOR_RANK, src=msg.src, tag=msg.tag.value)
-                    if isinstance(msg.payload, dict) and "busy_wall" in msg.payload:
-                        self._busy[msg.src] = float(msg.payload["busy_wall"])
-                    lc.handle_message(msg, send, now)
-                    lc.on_tick(send, now)
-            if lc.finished:
-                break
-            # death checks cost a waitpid per rank — poll-interval cadence
-            # is plenty (a dead rank's pipe also trips TransportClosedError)
-            now = self._now()
-            if now - self._last_death_poll >= poll or not progressed:
-                self._poll_deaths(send)
-                self._last_death_poll = now
-            lc.on_tick(send, self._now())
-            if not progressed:
-                self._wait_readable(poll)
-        self._shutdown()
-        lc.stats.solver_busy = dict(self._busy)
-        self.injector.export_stats(lc.stats)
-        # idle_ratio over *alive intervals*: each rank is charged only for
-        # the wall time its process existed, clipped to the run span — not
-        # span × nranks, which billed late joiners and early leavers for
-        # the whole run and made elastic/drain runs look artificially idle
-        span = lc.stats.computing_time or self._now()
-        for rank in list(self._alive_since):
-            self._end_alive(rank)
-        alive = {r: min(s, span) for r, s in self._alive_span.items()}
-        total = sum(alive.values())
-        if total <= 0.0:  # pragma: no cover - no rank ever launched
-            total = span * max(len(self.procs), 1)
-        busy = sum(min(b, alive.get(r, span)) for r, b in self._busy.items())
-        lc.metrics.set("idle_ratio", max(0.0, 1.0 - busy / total) if total > 0 else 0.0)
-
-    def _shutdown(self) -> None:
-        """Give children the grace period to honor TERMINATION, then reap.
-        Pooled workers are drained to their RESET marker and parked for
-        reuse instead of being joined to death."""
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
-        deadline = time.monotonic() + self.config.net_shutdown_grace
-        if self._pooled:
-            self._release_pooled(deadline)
-        for proc in self.procs.values():
+        while unparked() and time.monotonic() < deadline:
+            self._wait_readable(0.02)
+            for rank in unparked():
+                self._pump_rank(rank)
+        for proc in self.workers.values():
             proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-        for rank, proc in self.procs.items():
+        for proc in self.workers.values():
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.kill()
                 proc.join(timeout=5.0)
-        for channel in self.channels.values():
-            if not channel.closed:
-                channel.close()
-
-    def _release_pooled(self, deadline: float) -> None:
-        """Drain each healthy pooled rank to its RESET marker, then park it.
-        A rank that never RESETs inside the grace period (wedged mid-step)
-        falls through to the normal join/kill path."""
-        for rank in sorted(self._pooled):
-            proc = self.procs.get(rank)
-            channel = self.channels.get(rank)
-            if proc is None or channel is None:
-                continue  # already parked mid-run (drain path)
-            if rank in self._down or channel.closed or not proc.is_alive():
-                continue
-            parked = False
-            while time.monotonic() < deadline:
-                try:
-                    msg = channel.recv(0.02)
-                except TransportClosedError:
-                    break
-                if msg is None:
-                    if not proc.is_alive():
-                        break
-                    continue
-                # late end-of-run frames: keep the busy accounting, drop
-                # the rest — the coordinator is already finished
-                if isinstance(msg.payload, dict) and "busy_wall" in msg.payload:
-                    self._busy[msg.src] = float(msg.payload["busy_wall"])
-                if msg.tag is MessageTag.RESET:
-                    parked = True
-                    break
-            if parked:
-                self._park_pooled(rank)

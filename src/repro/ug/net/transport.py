@@ -3,9 +3,9 @@
 A :class:`Transport` moves opaque byte frames between two endpoints; it
 knows nothing about the wire codec above it.  Three implementations:
 
-* :class:`LoopbackTransport` — an in-memory pair of FIFO queues.  Fully
-  deterministic (no threads, no clocks), the substrate for the
-  loopback net engine and the corruption/kill tests.
+* :class:`LoopbackTransport` — an in-memory pair of FIFO queues: polled
+  (never blocking, fully deterministic) by the loopback net engine and
+  the corruption/kill tests, waited on by the thread engine's ranks.
 * :class:`PipeTransport` — a ``multiprocessing.Pipe`` duplex connection;
   the default carrier of the ProcessEngine (frames ride
   ``send_bytes``/``recv_bytes``, which are already length-delimited).
@@ -129,16 +129,21 @@ class Transport:
 class LoopbackTransport(Transport):
     """One endpoint of an in-memory duplex channel (see :meth:`pair`).
 
-    Deterministic by construction: frames come out in the exact order
-    they went in, ``timeout`` is ignored (no clock — an empty queue just
-    returns None), and nothing ever runs on another thread.
+    Frames come out in the exact order they went in.  With ``timeout`` 0
+    (all the virtual-clock engines ever pass) an empty queue just returns
+    None and nothing blocks, so those runs stay deterministic; a positive
+    ``timeout`` sleeps on ``mail``, which every arriving frame sets — the
+    thread engine's ranks wait on their own endpoint's event, and its
+    coordinator on one event shared by all of its endpoints.
     """
 
     def __init__(self) -> None:
         self._inbox: collections.deque[bytes] = collections.deque()
         self._peer: "LoopbackTransport | None" = None
         self._closed = False
+        # the thread engine's ranks and coordinator share the inboxes
         self._lock = threading.Lock()
+        self.mail = threading.Event()
 
     @staticmethod
     def pair() -> tuple["LoopbackTransport", "LoopbackTransport"]:
@@ -146,18 +151,27 @@ class LoopbackTransport(Transport):
         a._peer, b._peer = b, a
         return a, b
 
+    def _peer_gone(self) -> bool:
+        return self._closed or self._peer is None or self._peer._closed
+
     def send_frame(self, frame: bytes) -> None:
-        peer = self._peer
-        if self._closed or peer is None or peer._closed:
+        if self._peer_gone():
             raise TransportClosedError("loopback peer is closed")
-        with peer._lock:
-            peer._inbox.append(bytes(frame))
+        with self._peer._lock:
+            self._peer._inbox.append(bytes(frame))
+        self._peer.mail.set()
 
     def recv_frame(self, timeout: float = 0.0) -> bytes | None:
+        if not self._inbox and timeout > 0 and not self._peer_gone():
+            self.mail.wait(timeout)
+            self.mail.clear()
+        # closure is sampled first: a peer's last frame precedes its close(),
+        # so it must still come out before the closure is reported
+        gone = self._peer_gone()
         with self._lock:
             if self._inbox:
                 return self._inbox.popleft()
-        if self._closed or (self._peer is not None and self._peer._closed):
+        if gone:
             raise TransportClosedError("loopback peer is closed")
         return None
 
@@ -167,6 +181,10 @@ class LoopbackTransport(Transport):
 
     def close(self) -> None:
         self._closed = True
+        # wake a reader sleeping on either end so it sees the closure now
+        self.mail.set()
+        if self._peer is not None:
+            self._peer.mail.set()
 
     @property
     def closed(self) -> bool:

@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, field
 class UGStatistics:
     """Everything Tables 1-3 report for a ug[...] run.
 
-    Times are virtual seconds under the SimEngine and wall-clock seconds
-    under the ThreadEngine.
+    Times are virtual seconds under the virtual-clock engines (sim,
+    loopback) and wall-clock seconds under the wall-clock ones (threads,
+    process).
     """
 
     n_solvers: int = 0
@@ -62,8 +63,9 @@ class UGStatistics:
     final_ranks: int = 0  # live ranks when the run ended
     shape_restarts: int = 0  # restarts onto a different rank count than saved
 
-    # wire traffic (codec-backed paths: ThreadEngine delivery, loopback
-    # and process engines; the SimEngine has no wire so these stay 0)
+    # wire traffic (every engine but the SimEngine, which has no wire);
+    # the in-process engines count both ends of every channel, the
+    # process engines only the coordinator's end
     net_frames_sent: int = 0
     net_frames_received: int = 0
     net_bytes_sent: int = 0

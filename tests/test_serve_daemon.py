@@ -215,6 +215,30 @@ def test_deadline_expiry_serves_certified_gap(tmp_path):
             assert "certified gap" in out["detail"]
 
 
+@pytest.mark.parametrize("engine,deadline", [
+    ("threads", 2.0),
+    pytest.param("process", 4.0, marks=pytest.mark.slow),
+])
+def test_wall_clock_deadline_degrades_on_real_engines(tmp_path, engine, deadline):
+    """The job deadline is a wall-clock budget on the wall-clock engines
+    too: it expires mid-solve and the run degrades (it used to reach only
+    the SimEngine, so a threads/process job ran on until it was solved)."""
+    with daemon_in_thread(config(tmp_path, engine=engine)) as daemon:
+        with ServeClient(port=daemon.port) as client:
+            view = client.submit(stp(HARD, deadline=deadline))
+            final = client.wait(view["job_id"], timeout=90)
+            out = final["outcome"]
+            assert final["state"] == "degraded"
+            assert out["certified"] is True
+            assert not out["solved"]
+            assert out["bound"] <= out["objective"]
+            assert 0 < out["gap"] < 1
+            # started -> finished (solve + certificate check, not the
+            # fingerprinting around it); the in-flight node step is
+            # finished before the ranks stop, hence the slack
+            assert client.stats()["job_seconds"]["max"] < 2 * deadline
+
+
 def test_unverifiable_answer_is_failed_never_served(tmp_path):
     """A solver returning garbage must surface as FAILED with the reason."""
     with daemon_in_thread(config(tmp_path)) as daemon:

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import GraphError
 from repro.steiner.instances import random_instance
@@ -112,6 +112,9 @@ class TestMWCS:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 5000))
+    # weights [6,-1,3,1,-2,-4]: the optimum uses a negative vertex at tree
+    # degree 1, where splitting -w(v) over incident edges undercharges it
+    @example(seed=1679)
     def test_reduction_preserves_optimum(self, seed):
         rng = np.random.default_rng(seed)
         g = random_instance(6, 9, 2, seed=seed)
@@ -121,9 +124,9 @@ class TestMWCS:
         if weights.max() <= 0:
             weights[0] = 3.0
         expected = self.brute_force_mwcs(g, weights)
-        pcstp, positive_sum = mwcs_to_pcstp(g, weights)
+        pcstp, constant = mwcs_to_pcstp(g, weights)
         pc_opt = brute_force_pcstp(pcstp)
-        assert positive_sum - pc_opt == pytest.approx(expected)
+        assert constant - pc_opt == pytest.approx(expected)
 
     def test_end_to_end_via_solver(self):
         rng = np.random.default_rng(11)
@@ -132,6 +135,6 @@ class TestMWCS:
             g.terminal_mask[v] = False
         weights = np.array([4.0, -2.0, 3.0, -1.0, 5.0, -3.0])
         expected = self.brute_force_mwcs(g, weights)
-        pcstp, positive_sum = mwcs_to_pcstp(g, weights)
+        pcstp, constant = mwcs_to_pcstp(g, weights)
         sol = PrizeCollectingSolver(pcstp, seed=0).solve(node_limit=500)
-        assert positive_sum - sol.value == pytest.approx(expected)
+        assert constant - sol.value == pytest.approx(expected)

@@ -39,8 +39,8 @@ def run_sim(graph, n_solvers=3, **cfg):
               config=UGConfig(**STP_CFG, **cfg)).run()
 
 
-def run_loopback(graph, n_solvers=3, **cfg):
-    return ug(graph.copy(), SteinerUserPlugins(), n_solvers=n_solvers, comm="loopback",
+def run_loopback(graph, n_solvers=3, comm="loopback", **cfg):
+    return ug(graph.copy(), SteinerUserPlugins(), n_solvers=n_solvers, comm=comm,
               config=UGConfig(trace_enabled=True, **STP_CFG, **cfg)).run()
 
 
@@ -186,9 +186,14 @@ class TestRankWatchdog:
 
 
 class TestLoopbackJoin:
-    def test_join_mid_solve(self, hc5, hc5_sim):
+    # the join path is the engine core's: the thread engine runs it too
+    # (there 0.1 is wall seconds into a solve of a second or two)
+    @pytest.mark.parametrize("comm", ["loopback", "threads"])
+    def test_join_mid_solve(self, comm, hc5, hc5_sim):
         plan = ClusterPlan(events=(ClusterEvent(at_time=0.1, action="join"),))
-        res = run_loopback(hc5, cluster_plan=plan)
+        res = run_loopback(hc5, comm=comm, cluster_plan=plan)
+        if comm == "threads" and res.stats.computing_time <= 0.1:
+            pytest.skip("the solve ended before the wall-clock join event")
         assert res.stats.ranks_joined == 1
         assert res.stats.peak_ranks == 4
         assert res.solved and res.objective == hc5_sim.objective

@@ -454,21 +454,23 @@ class TestLoopbackNetEngine:
 
 
 class TestThreadEnginePayloadIsolation:
-    def _engine(self):
+    def _wired(self):
+        """A ThreadEngine with rank 1's wire up but no thread started:
+        (engine, rank 1's endpoint, the coordinator's endpoint for rank 1)."""
         from tests.test_ug_engines import build
 
         engine, _ = build(ThreadEngine, n_solvers=1)
-        return engine
+        engine._wire_loopback(1)
+        return engine, engine.rank_channels[1], engine.channels[1]
 
     def test_delivered_payload_does_not_alias_sender(self):
         """Regression: ThreadEngine used to put the sender's Message object
         straight onto the receiver's queue, so mutating a delivered payload
         mutated the sender's dict.  Every delivery now crosses the codec."""
-        engine = self._engine()
-        send = engine._send(1)
+        _engine, rank_end, lc_end = self._wired()
         original = {"rank": 1, "inner": {"n_open": 3}, "items": [1, 2]}
-        send(0, MessageTag.STATUS, original)
-        delivered = engine._lc_queue.get_nowait()
+        rank_end.send(0, MessageTag.STATUS, original)
+        delivered = lc_end.recv()
         assert delivered.payload == original
         assert delivered.payload is not original
         delivered.payload["inner"]["n_open"] = 999
@@ -476,9 +478,9 @@ class TestThreadEnginePayloadIsolation:
         assert original == {"rank": 1, "inner": {"n_open": 3}, "items": [1, 2]}
 
     def test_wire_counters_tick(self):
-        engine = self._engine()
-        send = engine._send(1)
-        send(0, MessageTag.STATUS, {"rank": 1})
+        engine, rank_end, lc_end = self._wired()
+        rank_end.send(0, MessageTag.STATUS, {"rank": 1})
+        assert lc_end.recv() is not None
         assert engine.lc.stats.net_frames_sent == 1
         assert engine.lc.stats.net_frames_received == 1
         assert engine.lc.stats.net_bytes_sent > 0

@@ -413,7 +413,7 @@ class TestObjectiveEpsilon:
         assert len(found) == 2
 
     def test_config_epsilon_threaded_into_solvers(self, monkeypatch):
-        import repro.ug.instantiation as inst
+        import repro.ug.engine_core as inst  # the one place ParaSolvers are built
 
         seen: list[float] = []
         real = inst.ParaSolver
@@ -442,9 +442,12 @@ class TestRunningNodeTotals:
         engine, lc = build(ThreadEngine, n_solvers=2, time_limit=30.0,
                            plugins=CountdownPlugins(n=8))
         engine.run()
-        assert engine._nodes_total == sum(
+        # the wall-clock engines check the node limit against the total
+        # the ranks reported, which is final once everyone terminated
+        assert lc.nodes_processed_total() == sum(
             s.nodes_processed_total for s in engine.solvers.values()
         )
+        assert lc.nodes_processed_total() == lc.stats.nodes_generated
 
     def test_sim_node_limit_still_interrupts(self):
         engine, lc = build(SimEngine, n_solvers=1, node_limit=3,
