@@ -9,7 +9,8 @@ import numpy as np
 from repro.cip.node import Node
 from repro.cip.plugins import Heuristic
 from repro.cip.solver import CIPSolver
-from repro.lp import LinearProgram, LPStatus
+from repro.lp import HighsLP, LPStatus
+from repro.lp.scipy_backend import solve_with_scipy
 
 
 class RoundingHeuristic(Heuristic):
@@ -48,14 +49,11 @@ class DivingHeuristic(Heuristic):
         if x is None or solver.relaxator is not None:
             return
         model = solver.model
-        lp = LinearProgram()
-        for v in model.variables:
-            lo, hi = solver.local_bounds(v.index)
-            lp.add_variable(lo, hi, v.obj, v.name)
-        for cons in model.constraints:
-            lp.add_row(cons.coefs, cons.lhs, cons.rhs, cons.name)
-        for cut in solver.cutpool:
-            lp.add_row(dict(cut.coefs), cut.lhs, cut.rhs, cut.name)
+        # the node's own relaxation (pool cuts and local rows included);
+        # with HiGHS it is loaded once and every depth is a warm re-solve
+        lp = solver._build_lp()  # noqa: SLF001 - core heuristic
+        warm = HighsLP.from_program(lp) if solver.params.lp_backend == "highs" else None
+        lb, ub = solver._local_lb.copy(), solver._local_ub.copy()  # noqa: SLF001
 
         cur = np.asarray(x, dtype=float).copy()
         perm = {j: r for r, j in enumerate(solver.rng.permutation(model.num_variables))}
@@ -67,13 +65,14 @@ class DivingHeuristic(Heuristic):
                     solver.stats.heuristic_solutions += 1
                 return
             j = min(frac, key=lambda k: (min(cur[k] - math.floor(cur[k]), math.ceil(cur[k]) - cur[k]), perm[k]))
-            target = float(round(cur[j]))
-            lo, hi = lp.get_bounds(j)
-            target = min(max(target, lo), hi)
-            lp.set_bounds(j, target, target)
-            # route through the solver's failover chain so dives inherit
-            # numerical recovery and the solve deadline
-            sol = solver.solve_lp_robust(lp)
+            target = min(max(float(round(cur[j])), lb[j]), ub[j])
+            lb[j] = ub[j] = target
+            if warm is not None:
+                warm.set_col_bounds(lb, ub)
+                sol = solve_with_scipy(warm, budget=solver.lp_budget)
+            else:
+                lp.set_bounds(j, target, target)
+                sol = solver.solve_lp_robust(lp)
             if sol.status is not LPStatus.OPTIMAL:
                 return
             cur = sol.x

@@ -55,7 +55,8 @@ from repro.cip.symmetry import (
 )
 from repro.cip.tree import NodeTree
 from repro.exceptions import PluginError
-from repro.lp import LinearProgram, LPSolution, LPStatus, RobustLPSolver, solve_lp
+from repro.lp import HighsLP, LinearProgram, LPSolution, LPStatus, RobustLPSolver, solve_lp
+from repro.lp.scipy_backend import solve_with_scipy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.utils import Budget, DEFAULT_TOL, Stopwatch, Tolerances, make_rng
@@ -114,6 +115,11 @@ class CIPSolver:
         self.budget = Budget(soft_memory_limit_mb=self.params.soft_memory_limit_mb)
         self.quarantine = PluginQuarantine(max_failures=self.params.plugin_max_failures)
         self._robust_lp = RobustLPSolver(self.params.lp_backend)
+        # the relaxation kept loaded in HiGHS (lp_backend="highs") and the
+        # row objects loaded into it, in order; created at the first solve,
+        # kept across setup() and restarts, dropped when a solve fails
+        self._node_lp: HighsLP | None = None
+        self._node_lp_rows: list[Any] = []
         self._degraded: str | None = None  # reason, once an essential plugin failed
         self._lost_bound = math.inf  # min lower bound over dropped (unresolved) nodes
         self._heur_throttle = 1  # heuristic frequency multiplier under memory pressure
@@ -280,6 +286,11 @@ class CIPSolver:
             self.metrics.inc("numerical_degradations")
             self._emit("solver_degraded", reason=reason)
 
+    def _count(self, key: str, amount: int = 1) -> None:
+        if amount:
+            self.stats.bump(key, amount)
+            self.metrics.inc(key, amount)
+
     def _note_budget_stop(self, scope: str) -> None:
         self.stats.bump("budget_stops")
         self.metrics.inc("budget_stops")
@@ -294,6 +305,11 @@ class CIPSolver:
         self.metrics.inc("memory_pressure_events")
         self._emit("memory_pressure", cuts_evicted=evicted, heur_throttle=self._heur_throttle)
 
+    @property
+    def lp_budget(self) -> Budget | None:
+        """The solve budget as LP backends take it: None when unlimited."""
+        return self.budget if self.budget.limited else None
+
     def solve_lp_robust(self, lp: LinearProgram, **kwargs: Any) -> LPSolution:
         """Solve an LP through the failover chain (plain → scaled →
         perturbed → switched backend), honoring the solve budget.
@@ -302,10 +318,9 @@ class CIPSolver:
         auxiliary LPs here instead of calling ``solve_lp`` directly, so
         they inherit failover and deadline enforcement.
         """
-        budget = self.budget if self.budget.limited else None
         if not self.params.lp_failover:
-            return solve_lp(lp, self.params.lp_backend, budget=budget, **kwargs)
-        self._robust_lp.budget = budget
+            return solve_lp(lp, self.params.lp_backend, budget=self.lp_budget, **kwargs)
+        self._robust_lp.budget = self.lp_budget
         sol = self._robust_lp.solve(lp, **kwargs)
         if len(sol.attempts) > 1:
             self.stats.bump("lp_failovers")
@@ -761,20 +776,79 @@ class CIPSolver:
                 return PropagationStatus.INFEASIBLE
         return overall
 
+    def _node_rows(self) -> list[Any]:
+        """The rows of the current node's relaxation, in LP order:
+        model constraints, the global cut pool, the node's local rows."""
+        rows = [*self.model.constraints, *self.cutpool]
+        if self._current_node is not None:
+            rows += self._current_node.local_rows
+        return rows
+
     def _build_lp(self) -> LinearProgram:
+        """The current node's relaxation materialised from scratch: what
+        ``lp_backend="simplex"`` solves, what a failed warm solve falls
+        back to, and the reference the warm path is tested against."""
         assert self._local_lb is not None and self._local_ub is not None
         lp = LinearProgram()
         for v in self.model.variables:
             lp.add_variable(self._local_lb[v.index], self._local_ub[v.index], v.obj, v.name)
-        for cons in self.model.constraints:
-            lp.add_row(cons.coefs, cons.lhs, cons.rhs, cons.name)
-        for cut in self.cutpool:
-            lp.add_row(dict(cut.coefs), cut.lhs, cut.rhs, cut.name)
-        node = self._current_node
-        if node is not None:
-            for row in node.local_rows:
-                lp.add_row(dict(row.coefs), row.lhs, row.rhs, row.name)
+        for row in self._node_rows():
+            lp.add_row(dict(row.coefs), row.lhs, row.rhs, row.name)
         return lp
+
+    def _sync_node_lp(self) -> HighsLP:
+        """Bring the loaded LP to the current node's relaxation.
+
+        Changed column bounds are pushed as a diff.  Rows are
+        ``[model constraints | cut pool | node.local_rows]``: the longest
+        prefix already loaded (same objects, same order) stays, the rest
+        of what is loaded is truncated and what is missing is appended —
+        new cuts, a switch of node, pool eviction and restarts are all
+        this one case.
+        """
+        assert self._local_lb is not None and self._local_ub is not None
+        variables = self.model.variables
+        lp = self._node_lp
+        if lp is None or lp.num_cols != len(variables):
+            lp = self._node_lp = HighsLP([v.obj for v in variables], self._local_lb, self._local_ub)
+            self._node_lp_rows = []
+        else:
+            self._count("lp_bound_changes", lp.set_col_bounds(self._local_lb, self._local_ub))
+        want = self._node_rows()
+        keep = 0
+        for loaded, wanted in zip(self._node_lp_rows, want):
+            if loaded is not wanted:
+                break
+            keep += 1
+        self._count("lp_rows_dropped", lp.truncate_rows(keep))
+        lp.add_rows(want[keep:])
+        self._count("lp_rows_added", len(want) - keep)
+        self._node_lp_rows = want
+        return lp
+
+    def _solve_node_lp(self) -> LPSolution:
+        """Solve the current node's LP relaxation.
+
+        With HiGHS the loaded model is synced and re-solved from the
+        basis it kept; a solve that fails numerically drops the handle
+        and runs the cold failover chain on a fresh :meth:`_build_lp`.
+        """
+        if self.params.lp_backend != "highs":
+            return self.solve_lp_robust(self._build_lp())
+        sol = solve_with_scipy(self._sync_node_lp(), budget=self.lp_budget)
+        self._count("lp_warm_solves")
+        if sol.status not in (LPStatus.ERROR, LPStatus.ITERATION_LIMIT):
+            return sol
+        self._node_lp = None
+        self._count("lp_cold_fallbacks")
+        self._emit(
+            "lp_cold_fallback",
+            status=sol.status.value,
+            **{k: v for k, v in self.stats.extra.items() if k.startswith("lp_")},
+        )
+        cold = self.solve_lp_robust(self._build_lp())
+        cold.iterations += sol.iterations
+        return cold
 
     def _solve_relaxation(self, node: Node, is_root: bool) -> RelaxationResult:
         if self.relaxator is not None:
@@ -790,8 +864,7 @@ class CIPSolver:
                 return RelaxationResult(RelaxationStatus.FAILED, -math.inf, None, WORK_PER_NODE)
             self.stats.lp_solves += 1
             return res
-        lp = self._build_lp()
-        sol = self.solve_lp_robust(lp)
+        sol = self._solve_node_lp()
         self.stats.lp_solves += 1
         self.stats.lp_iterations += sol.iterations
         work = WORK_PER_LP_ITER * max(sol.iterations, 1)

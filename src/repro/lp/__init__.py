@@ -13,5 +13,14 @@ raising; :class:`RobustLPSolver` layers an escalating recovery chain
 from repro.lp.model import LinearProgram, LPAttempt, LPSolution, LPStatus
 from repro.lp.interface import solve_lp
 from repro.lp.robust import RobustLPSolver
+from repro.lp.scipy_backend import HighsLP
 
-__all__ = ["LinearProgram", "LPAttempt", "LPSolution", "LPStatus", "solve_lp", "RobustLPSolver"]
+__all__ = [
+    "HighsLP",
+    "LinearProgram",
+    "LPAttempt",
+    "LPSolution",
+    "LPStatus",
+    "solve_lp",
+    "RobustLPSolver",
+]

@@ -146,6 +146,10 @@ class LinearProgram:
         self._rows.append(_Row(dict(coefs), float(lhs), float(rhs), name))
         return len(self._rows) - 1
 
+    def truncate_rows(self, n: int) -> None:
+        """Drop every row from index ``n`` on."""
+        del self._rows[n:]
+
     def set_objective(self, col: int, coef: float) -> None:
         """Overwrite the objective coefficient of one column."""
         self._cols[col].obj = float(coef)

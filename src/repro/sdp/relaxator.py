@@ -19,9 +19,10 @@ import math
 import numpy as np
 
 from repro.cip.node import Node
-from repro.cip.plugins import RelaxationResult, RelaxationStatus, Relaxator
+from repro.cip.plugins import Cut, RelaxationResult, RelaxationStatus, Relaxator
 from repro.cip.solver import CIPSolver
-from repro.lp import LinearProgram, LPStatus
+from repro.lp import HighsLP, LPStatus
+from repro.lp.scipy_backend import solve_with_scipy
 from repro.sdp.admm import solve_sdp_relaxation
 from repro.sdp.linalg import eig_pairs_below
 from repro.sdp.model import MISDP
@@ -41,13 +42,13 @@ class SDPRelaxator(Relaxator):
         self.misdp = misdp
         self.max_iter = max_iter
         self.tol = tol
-        self._fallback_cuts: list[tuple[dict[int, float], float]] = []
+        self._fallback_cuts: list[Cut] = []
 
     def solve(self, solver: CIPSolver, node: Node) -> RelaxationResult:
         m = self.misdp.num_vars
         lb = solver._local_lb[:m].copy()  # noqa: SLF001 - relaxator is a core plugin
         ub = solver._local_ub[:m].copy()  # noqa: SLF001
-        budget = solver.budget if solver.budget.limited else None
+        budget = solver.lp_budget
         res = solve_sdp_relaxation(
             self.misdp, lb, ub, max_iter=self.max_iter, tol=self.tol, budget=budget
         )
@@ -80,19 +81,17 @@ class SDPRelaxator(Relaxator):
         misdp = self.misdp
         m = misdp.num_vars
         big = 1e6
+        # one loaded LP per call; each round appends its eigenvector cuts
+        # (cuts of earlier calls are valid for the cone, so they start in)
+        lp = HighsLP(
+            -misdp.b,
+            np.where(np.isfinite(lb), lb, -big),
+            np.where(np.isfinite(ub), ub, big),
+        )
+        lp.add_rows(misdp.linear_rows)
+        lp.add_rows(self._fallback_cuts)
         for _round in range(40):
-            lp = LinearProgram()
-            for i in range(m):
-                lo = lb[i] if math.isfinite(lb[i]) else -big
-                hi = ub[i] if math.isfinite(ub[i]) else big
-                lp.add_variable(lo, hi, -float(misdp.b[i]))
-            for row in misdp.linear_rows:
-                lp.add_row(dict(row.coefs), row.lhs, row.rhs)
-            for coefs, rhs in self._fallback_cuts:
-                lp.add_row(coefs, rhs=rhs)
-            # the solver's failover chain supplies numerical recovery and
-            # deadline enforcement for the outer-approximation LPs too
-            sol = solver.solve_lp_robust(lp)
+            sol = solve_with_scipy(lp, budget=solver.lp_budget)
             work += WORK_PER_LP_FALLBACK
             if sol.status is LPStatus.INFEASIBLE:
                 return RelaxationResult(RelaxationStatus.INFEASIBLE, math.inf, None, work)
@@ -104,7 +103,7 @@ class SDPRelaxator(Relaxator):
                 # bound: stop tightening, keep what is proved
                 bound = sol.objective + solver.model.obj_offset
                 return RelaxationResult(RelaxationStatus.OPTIMAL, bound, y, work)
-            added = 0
+            new_cuts: list[Cut] = []
             for block in misdp.blocks:
                 Z = block.evaluate(y)
                 scale = max(1.0, float(np.abs(Z).max()))
@@ -115,11 +114,12 @@ class SDPRelaxator(Relaxator):
                         if abs(c) > 1e-12:
                             coefs[i] = c
                     if coefs:
-                        self._fallback_cuts.append((coefs, float(v @ block.C @ v)))
-                        added += 1
-            if added == 0:
+                        new_cuts.append(Cut.from_dict(coefs, rhs=float(v @ block.C @ v)))
+            if not new_cuts:
                 bound = sol.objective + solver.model.obj_offset
                 return RelaxationResult(RelaxationStatus.OPTIMAL, bound, y, work)
+            self._fallback_cuts += new_cuts
+            lp.add_rows(new_cuts)
         # outer approximation not yet PSD-tight: the LP value is still a
         # valid bound; return the last iterate for branching
         bound = sol.objective + solver.model.obj_offset

@@ -23,7 +23,8 @@ from typing import Any
 import numpy as np
 
 from repro.lp.interface import solve_lp
-from repro.lp.model import LinearProgram, LPStatus
+from repro.lp.model import LinearProgram, LPSolution, LPStatus
+from repro.lp.scipy_backend import HighsLP, solve_with_scipy
 from repro.sdp.model import MISDP
 from repro.steiner.graph import SteinerGraph
 from repro.steiner.mst import mst_on_subgraph, prune_steiner_tree
@@ -99,6 +100,18 @@ def brute_force_misdp(misdp: MISDP, max_points: int = 1 << 20) -> tuple[float, n
 # -- randomized LP generation + backend cross-check ----------------------------
 
 
+def _random_row(rng: np.random.Generator, n_vars: int, x0: np.ndarray) -> tuple[dict[int, float], float, float]:
+    """One random <=, >= or range row, slack against the point ``x0``."""
+    support = rng.choice(n_vars, size=min(n_vars, int(rng.integers(2, 5))), replace=False)
+    coefs = {int(j): float(rng.uniform(-3.0, 3.0)) for j in support}
+    act0 = sum(v * x0[j] for j, v in coefs.items())
+    kind = int(rng.integers(0, 3))
+    slack = float(rng.uniform(0.1, 2.0))
+    lhs = -math.inf if kind == 0 else act0 - slack
+    rhs = math.inf if kind == 1 else act0 + slack
+    return coefs, lhs, rhs
+
+
 def random_lp(rng: np.random.Generator, n_vars: int = 6, n_rows: int = 5) -> LinearProgram:
     """A random bounded-feasible LP with a mix of <=, >= and range rows.
 
@@ -111,37 +124,76 @@ def random_lp(rng: np.random.Generator, n_vars: int = 6, n_rows: int = 5) -> Lin
     for j in range(n_vars):
         lp.add_variable(0.0, float(rng.uniform(1.0, 4.0)), float(rng.uniform(-5.0, 5.0)), f"x{j}")
     for i in range(n_rows):
-        support = rng.choice(n_vars, size=min(n_vars, int(rng.integers(2, 5))), replace=False)
-        coefs = {int(j): float(rng.uniform(-3.0, 3.0)) for j in support}
-        act0 = sum(v * x0[j] for j, v in coefs.items())
-        kind = int(rng.integers(0, 3))
-        slack = float(rng.uniform(0.1, 2.0))
-        if kind == 0:  # <=
-            lp.add_row(coefs, rhs=act0 + slack, name=f"r{i}")
-        elif kind == 1:  # >=
-            lp.add_row(coefs, lhs=act0 - slack, name=f"r{i}")
-        else:  # range
-            lp.add_row(coefs, lhs=act0 - slack, rhs=act0 + slack, name=f"r{i}")
+        coefs, lhs, rhs = _random_row(rng, n_vars, x0)
+        lp.add_row(coefs, lhs, rhs, name=f"r{i}")
     return lp
 
 
-def cross_check_lp(lp: LinearProgram, tol: float = 1e-6) -> CheckReport:
-    """Solve with both backends; statuses, objectives and certificates must agree."""
+def _random_delta(rng: np.random.Generator, lp: LinearProgram, warm: HighsLP) -> str:
+    """Apply one random B&B-style change to ``lp`` and to ``warm`` alike:
+    new bounds on a few columns, appended rows, or a truncated row tail."""
+    n = lp.num_cols
+    kind = int(rng.integers(0, 3)) if lp.num_rows else int(rng.integers(0, 2))
+    if kind == 0:
+        for j in rng.choice(n, size=int(rng.integers(1, 4)), replace=False):
+            lo, hi = sorted(float(v) for v in rng.uniform(0.0, 4.0, size=2))
+            if rng.random() < 0.4:  # a branching-style fixing
+                hi = lo = float(round(lo))
+            lp.set_bounds(int(j), lo, hi)
+        lb, ub = (np.array(b) for b in zip(*(lp.get_bounds(j) for j in range(n))))
+        warm.set_col_bounds(lb, ub)
+        return "bounds"
+    if kind == 1:
+        first = lp.num_rows
+        x0 = rng.uniform(0.2, 0.8, size=n)
+        for _ in range(int(rng.integers(1, 4))):
+            coefs, lhs, rhs = _random_row(rng, n, x0)
+            lp.add_row(coefs, lhs, rhs)
+        warm.add_rows(lp._rows[first:])
+        return "add_rows"
+    keep = int(rng.integers(0, lp.num_rows))
+    lp.truncate_rows(keep)
+    warm.truncate_rows(keep)
+    return "truncate"
+
+
+def cross_check_lp(
+    lp: LinearProgram, tol: float = 1e-6, steps: int = 0, rng: np.random.Generator | None = None
+) -> CheckReport:
+    """Solve with both backends; statuses, objectives and certificates must agree.
+
+    With ``steps > 0`` the check continues over a random *sequence* of
+    bound changes, row appends and row truncations (drawn from ``rng``,
+    applied to ``lp`` in place): after every step a :class:`HighsLP`
+    kept loaded since the start — so carrying HiGHS's basis — must agree
+    with a cold ``solve_with_simplex`` of the same LP.
+    """
     report = CheckReport(subject="lp-cross-check")
-    sols = {backend: solve_lp(lp, backend) for backend in ("simplex", "highs")}
-    report.add(
-        "status_agreement",
-        sols["simplex"].status is sols["highs"].status,
-        f"simplex={sols['simplex'].status.value} highs={sols['highs'].status.value}",
-    )
-    if all(s.status is LPStatus.OPTIMAL for s in sols.values()):
-        a, b = sols["simplex"].objective, sols["highs"].objective
-        scale = max(1.0, abs(a), abs(b))
-        report.add("objective_agreement", abs(a - b) <= tol * scale,
-                   f"simplex {a:.9g} vs highs {b:.9g}")
-        for backend, sol in sols.items():
-            sub = check_lp_certificate(lp, sol, tol=tol, subject=f"lp[{backend}]")
-            report.require(f"certificate_{backend}", sub.ok, sub.summary())
+
+    def compare(sols: dict[str, LPSolution], prefix: str) -> None:
+        report.add(
+            f"{prefix}status_agreement",
+            sols["simplex"].status is sols["highs"].status,
+            f"simplex={sols['simplex'].status.value} highs={sols['highs'].status.value}",
+        )
+        if all(s.status is LPStatus.OPTIMAL for s in sols.values()):
+            a, b = sols["simplex"].objective, sols["highs"].objective
+            scale = max(1.0, abs(a), abs(b))
+            report.add(f"{prefix}objective_agreement", abs(a - b) <= tol * scale,
+                       f"simplex {a:.9g} vs highs {b:.9g}")
+            for backend, sol in sols.items():
+                sub = check_lp_certificate(lp, sol, tol=tol, subject=f"lp[{backend}]")
+                report.require(f"{prefix}certificate_{backend}", sub.ok, sub.summary())
+
+    compare({backend: solve_lp(lp, backend) for backend in ("simplex", "highs")}, "")
+    if steps:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        warm = HighsLP.from_program(lp)
+        solve_with_scipy(warm)  # leave a basis behind for the first step
+        for k in range(1, steps + 1):
+            what = _random_delta(rng, lp, warm)
+            compare({"simplex": solve_lp(lp, "simplex"), "highs": solve_with_scipy(warm)},
+                    f"step{k}_{what}_")
     return report
 
 

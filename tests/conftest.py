@@ -20,3 +20,28 @@ from repro.verify.differential import (  # noqa: F401  (re-exports)
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def failing_highs(monkeypatch):
+    """Make HiGHS handles report a solve error: ``failing_highs(n)`` arms
+    the next ``n`` solves (of any handle created afterwards) to end with
+    model status ``kSolveError``; later solves are untouched."""
+    from repro.lp.scipy_backend import highs_binding
+
+    core = highs_binding()
+    remaining = {"n": 0}
+
+    class Failing(core._Highs):
+        def getModelStatus(self):
+            if remaining["n"] > 0:
+                remaining["n"] -= 1
+                return core.HighsModelStatus.kSolveError
+            return super().getModelStatus()
+
+    monkeypatch.setattr(core, "_Highs", Failing)
+
+    def arm(n: int = 1) -> None:
+        remaining["n"] = n
+
+    return arm

@@ -145,13 +145,8 @@ class TestLPStatusUniformity:
         sol = solve_with_simplex(small_lp(), max_iter=1)
         assert sol.status is LPStatus.ITERATION_LIMIT
 
-    def test_highs_numerical_failure_returns_error(self, monkeypatch):
-        class FakeRes:
-            status = 4
-            message = "injected numerical difficulties"
-            nit = 3
-
-        monkeypatch.setattr("repro.lp.scipy_backend.linprog", lambda *a, **k: FakeRes())
+    def test_highs_numerical_failure_returns_error(self, failing_highs):
+        failing_highs(1)  # the handle's model status reports a solve error
         sol = solve_lp(small_lp(), "highs")
         assert sol.status is LPStatus.ERROR
 

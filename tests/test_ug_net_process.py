@@ -120,14 +120,19 @@ def test_process_elastic_smoke():
     completes at the SimEngine optimum and passes every verifier."""
     from repro.ug.cluster import ClusterEvent, ClusterPlan
 
-    graph = hypercube_instance(4, perturbed=False, seed=1)
+    graph = hypercube_instance(5, perturbed=False, seed=1)
     plugins = SteinerUserPlugins()
     sim = ug(graph.copy(), plugins, n_solvers=2, comm="sim",
              config=UGConfig(**STP_CFG)).run()
+    # kill and join are placed as fractions of a fault-free process run's
+    # wall span (which also warms the worker pool), so both land mid-solve
+    # on any box and with any LP speed
+    span = ug(graph.copy(), plugins, n_solvers=2, comm="process",
+              config=UGConfig(**STP_CFG)).run().stats.computing_time
     cfg = UGConfig(
         trace_enabled=True,
-        fault_plan=FaultPlan(crashes=(SolverCrash(rank=2, at_time=0.2),)),
-        cluster_plan=ClusterPlan(events=(ClusterEvent(at_time=0.3, action="join"),)),
+        fault_plan=FaultPlan(crashes=(SolverCrash(rank=2, at_time=0.2 * span),)),
+        cluster_plan=ClusterPlan(events=(ClusterEvent(at_time=0.3 * span, action="join"),)),
         # heartbeats are the backstop here: a fresh joiner pays spawn/import
         # cost before its first status, and the process sentinel already
         # catches real deaths fast

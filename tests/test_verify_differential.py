@@ -90,6 +90,28 @@ class TestLPBackendCrossCheck:
         assert {"certificate_simplex", "certificate_highs", "objective_agreement"} <= names
 
 
+class TestStatefulLPCrossCheck:
+    """The persistent HiGHS model under random sequences of the deltas
+    branch-and-bound produces, against a cold simplex solve per step."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_warm_sequence_agrees_with_cold_simplex(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        lp = random_lp(rng, n_vars=int(rng.integers(3, 10)), n_rows=int(rng.integers(2, 9)))
+        report = cross_check_lp(lp, steps=12, rng=rng)
+        assert report.ok, report.summary()
+
+    def test_sequence_exercises_every_delta_and_status(self):
+        rng = np.random.default_rng(7)
+        report = cross_check_lp(random_lp(rng), steps=40, rng=rng)
+        assert report.ok, report.summary()
+        names = {c.name for c in report.checks}
+        for what in ("bounds", "add_rows", "truncate"):
+            assert any(f"_{what}_certificate_highs" in n for n in names), what
+        details = {c.detail for c in report.checks if c.name.endswith("status_agreement")}
+        assert any("infeasible" in d for d in details)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sim_and_threads_prove_same_optimum(self, seed):
