@@ -14,6 +14,11 @@ rank-order tie-breaking cannot systematically favour one portfolio.
 
 ``run_portfolio_races`` is imported by ``tests/test_portfolio_racing.py``
 to assert the histogram is reproducible seed-for-seed.
+
+Floors (the reference run: 13/24 races survived racing to a declared
+winner, winners over all 6 families): at least
+:data:`MIN_FAMILIES_WITH_WINNERS` families declare a winner, at least
+:data:`MIN_COMPLETED_RACES` races complete, every race is certified.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ RACE_CONFIGS: tuple[tuple[str, dict], ...] = (
 )
 
 PORTFOLIO_NAMES = tuple(name for name, _ in STP_PORTFOLIOS)
+
+MIN_FAMILIES_WITH_WINNERS = 5
+MIN_COMPLETED_RACES = 10
 
 
 class RotatedPortfolioPlugins(SteinerUserPlugins):
@@ -155,6 +163,9 @@ def test_portfolio_racing_histogram(benchmark):
     )
     print(report.render())
     assert out["certified_races"] == out["n_races"], "every race must yield a valid tree"
+    families = [fam for fam, idxs in out["winners"].items() if idxs]
+    assert len(families) >= MIN_FAMILIES_WITH_WINNERS, families
+    assert out["completed_races"] >= MIN_COMPLETED_RACES, out["completed_races"]
     emit_bench_json(
         "portfolio_racing",
         {

@@ -14,8 +14,9 @@ from repro.ug.user_plugins import HandleStep, SolverHandle, UserPlugins
 
 
 # Heuristic portfolios raced during ramp-up (Figure-1 style): each is a
-# (name, whitelist) pair; None = every registered heuristic. The names
-# are the plugin names registered in SteinerSolver._build_cip.
+# (name, plugin_whitelists["heuristic"]) pair; None = every registered
+# heuristic. The names are the plugin names registered in
+# SteinerSolver._build_cip.
 STP_PORTFOLIOS: tuple[tuple[str, tuple[str, ...] | None], ...] = (
     ("full", None),
     ("construct", ("steiner_ascend_prune", "steiner_tm")),
@@ -25,7 +26,8 @@ STP_PORTFOLIOS: tuple[tuple[str, tuple[str, ...] | None], ...] = (
 )
 
 # Opt-in (extras["stp/race_plugin_sets"]): racing lanes additionally vary
-# whole per-kind plugin whitelists, not just the heuristic portfolio.
+# whole per-kind plugin whitelists; the lane's portfolio overrides its
+# "heuristic" entry.
 # Only optional plugins are toggled — the Steiner constraint handler is a
 # conshdlr (not whitelistable), so feasibility never depends on a lane.
 STP_PLUGIN_SETS: tuple[tuple[str, dict[str, tuple[str, ...]] | None], ...] = (
@@ -130,13 +132,14 @@ class SteinerUserPlugins(UserPlugins):
             if race_plugin_sets:
                 sname, whitelists = STP_PLUGIN_SETS[k % len(STP_PLUGIN_SETS)]
                 extras["stp/plugin_set"] = sname
+            if portfolio is not None:
+                whitelists = {**(whitelists or {}), "heuristic": portfolio}
             sets.append(
                 base.with_changes(
                     permutation_seed=k,
                     node_selection=selections[k % 2],
                     heur_frequency=(3, 5, 10, 1)[k % 4],
                     max_sepa_rounds=(12, 4, 20, 8)[k % 4],
-                    heuristic_portfolio=portfolio,
                     plugin_whitelists=whitelists,
                     extras=extras,
                 )

@@ -54,6 +54,9 @@ DECISION = "decision"
 REASONED = "reasoned"
 OPAQUE = "opaque"
 
+POOL_SIZE = 256  # learned clauses kept (lowest-activity eviction)
+MAX_LITERALS = 32  # longer conflicts are discarded as weak
+
 
 @dataclass
 class TrailEntry:
@@ -123,7 +126,7 @@ class ConflictPool:
 class ConflictAnalyzer:
     """Per-node trail recording + resolution to the decision frontier."""
 
-    def __init__(self, model: "Model", pool_size: int, max_literals: int) -> None:
+    def __init__(self, model: "Model", pool_size: int = POOL_SIZE, max_literals: int = MAX_LITERALS) -> None:
         self.model = model
         self.pool = ConflictPool(pool_size)
         self.max_literals = max(1, int(max_literals))

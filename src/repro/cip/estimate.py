@@ -17,7 +17,7 @@ the current tree and the projected total is ``restart_node_factor``
 times what has been processed, the tree is deemed to be blowing up and
 a root restart (carrying incumbent, cuts, learned conflicts and the
 proven root bound) is worth the re-exploration cost.  At most
-``restart_max`` restarts are performed per solve.
+:data:`MAX_RESTARTS` restarts are performed per solve.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _MAX_DEPTH = 60  # 2^-60 underflows usefulness; deeper leaves count as this
+MAX_RESTARTS = 1  # in-solve restarts per solve when restarts are on
 
 
 class TreeSizeEstimator:

@@ -33,56 +33,33 @@ class ParamSet:
     max_sepa_rounds: int = 12
     max_sepa_rounds_root: int = 60
     max_cuts_per_round: int = 50
-    min_bound_improve: float = 1e-6
 
     # tree management
     node_selection: str = "bestbound"  # or "dfs"
-    plunge_depth: int = 4
 
-    # plugin toggles
     presolve: bool = True
-    propagation: bool = True
-    heuristics: bool = True
-    separation: bool = True
 
     # heuristic aggressiveness (frequency: run every k-th node; 0 = off)
     heur_frequency: int = 10
-    # heuristic portfolio: None = all registered heuristics; a tuple of
-    # plugin names whitelists exactly those (empty tuple = none). Racing
-    # ramp-up races differently-composed portfolios against each other.
-    heuristic_portfolio: tuple[str, ...] | None = None
-    # per-kind plugin whitelists (generalizing heuristic_portfolio to any
-    # whitelistable kind): maps kind -> tuple of plugin names. None = no
-    # restriction anywhere; a missing kind = that kind unrestricted; an
-    # empty tuple disables the kind.  For "heuristic",
-    # ``heuristic_portfolio`` takes precedence when set.
+    # per-kind plugin whitelists: maps kind -> tuple of plugin names.
+    # None = no restriction anywhere; a missing kind = that kind
+    # unrestricted; an empty tuple disables the kind.  Racing ramp-up
+    # races differently-composed heuristic portfolios (the "heuristic"
+    # entry) against each other.
     plugin_whitelists: dict[str, tuple[str, ...]] | None = None
-
-    # branching
-    branching_rule: str = ""  # empty = highest-priority registered rule
 
     # -- modern kernel features (all default OFF: the classical kernel
     # -- stays byte-identical; the "modern" emphasis preset enables them)
     # conflict analysis: learn no-good constraints from infeasible
     # propagations/LPs (1-FUIP-style over the bound-change trail)
     conflict_analysis: bool = False
-    conflict_pool_size: int = 256  # bounded pool, lowest-activity eviction
-    conflict_max_literals: int = 32  # longer conflicts are discarded as weak
-    # symmetry handling: "off", "lex" (static lex-leader constraints) or
-    # "orbital" (orbital fixing during propagation). One-of: combining
-    # both reductions is unsound, so the mode picks exactly one.
+    # symmetry handling: "off" or "orbital" (orbital fixing during
+    # propagation)
     symmetry_mode: str = "off"
-    symmetry_max_generators: int = 64
-    # symmetry detection seed: deliberately NOT permutation_seed — every
-    # rank of a UG run must derive the identical generator set or their
-    # per-rank symmetry reductions stop agreeing on which orbit
-    # representative survives (see cip/symmetry.py)
-    symmetry_seed: int = 0
     # estimation-driven restarts: discard the tree and restart from the
     # root (keeping incumbent, cuts, learned conflicts and root bound)
     # when tree-size estimation says the current tree is blowing up
     restarts: bool = False
-    restart_max: int = 1
     restart_min_nodes: int = 100  # never restart before this many nodes
     # trigger when estimated remaining nodes >= factor * nodes processed
     restart_node_factor: float = 4.0
@@ -90,8 +67,6 @@ class ParamSet:
     # robustness: quarantine a non-essential plugin after this many
     # failed callbacks (SCIP-style "disabled for the rest of the solve")
     plugin_max_failures: int = 3
-    # escalate failed LP solves through the RobustLPSolver chain
-    lp_failover: bool = True
     # advisory memory ceiling; crossing it shrinks the cut pool and
     # throttles heuristics (inf = off, the default — keeps SimEngine
     # runs deterministic)
@@ -109,8 +84,6 @@ class ParamSet:
     def __post_init__(self) -> None:
         # JSON wire codecs decode tuples as lists; normalize so a ParamSet
         # survives an encode -> decode round trip unchanged
-        if isinstance(self.heuristic_portfolio, list):
-            self.heuristic_portfolio = tuple(self.heuristic_portfolio)
         if self.plugin_whitelists is not None:
             self.plugin_whitelists = {
                 str(kind): tuple(names) for kind, names in self.plugin_whitelists.items()
@@ -120,12 +93,8 @@ class ParamSet:
     def _validate(self) -> None:
         from repro.cip.registry import WHITELISTABLE_KINDS, validate_plugin_names
 
-        if self.symmetry_mode not in ("off", "lex", "orbital"):
-            raise ModelError(
-                f"unknown symmetry_mode {self.symmetry_mode!r}; choose off, lex or orbital"
-            )
-        if self.heuristic_portfolio:
-            validate_plugin_names(self.heuristic_portfolio, "heuristic_portfolio")
+        if self.symmetry_mode not in ("off", "orbital"):
+            raise ModelError(f"unknown symmetry_mode {self.symmetry_mode!r}; choose off or orbital")
         if self.plugin_whitelists:
             for kind, names in self.plugin_whitelists.items():
                 if kind not in WHITELISTABLE_KINDS:
@@ -135,27 +104,25 @@ class ParamSet:
                     )
                 if names:
                     validate_plugin_names(names, f"plugin_whitelists[{kind!r}]")
-        if self.conflict_pool_size < 1 or self.conflict_max_literals < 1:
-            raise ModelError("conflict pool size and literal cap must be >= 1")
-        if self.restart_max < 0 or self.restart_min_nodes < 1 or self.restart_node_factor <= 0:
+        if self.restart_min_nodes < 1 or self.restart_node_factor <= 0:
             raise ModelError("restart parameters out of range")
 
     def whitelist_for(self, kind: str) -> tuple[str, ...] | None:
         """Effective whitelist for one plugin kind (None = unrestricted)."""
-        if kind == "heuristic" and self.heuristic_portfolio is not None:
-            return self.heuristic_portfolio
-        if self.plugin_whitelists is not None:
-            return self.plugin_whitelists.get(kind)
-        return None
+        return (self.plugin_whitelists or {}).get(kind)
 
     def with_changes(self, **kwargs: Any) -> "ParamSet":
         """Return a copy with the given fields replaced.
 
-        Unknown keys land in :attr:`extras` so applications can introduce
-        their own knobs without subclassing.
+        Unknown ``/``-namespaced keys (``steiner/...``, ``ug/...``) land in
+        :attr:`extras` so applications can introduce their own knobs
+        without subclassing; any other unknown key is a typo and raises.
         """
         known = {k: v for k, v in kwargs.items() if k in self.__dataclass_fields__ and k != "extras"}
         extra = {k: v for k, v in kwargs.items() if k not in self.__dataclass_fields__}
+        typos = sorted(k for k in extra if "/" not in k)
+        if typos:
+            raise ModelError(f"unknown ParamSet field(s) {typos}; application knobs need a 'ns/' prefix")
         new = replace(self, **known)
         if extra or "extras" in kwargs:
             merged = dict(self.extras)
@@ -186,7 +153,6 @@ def _emphasis_easycip() -> ParamSet:
         max_sepa_rounds_root=10,
         max_cuts_per_round=20,
         heur_frequency=5,
-        plunge_depth=8,
     )
 
 
@@ -220,7 +186,6 @@ def _emphasis_optimality() -> ParamSet:
         heur_frequency=25,
         max_sepa_rounds=20,
         max_sepa_rounds_root=100,
-        plunge_depth=0,
     )
 
 

@@ -4,10 +4,9 @@ Historically :class:`~repro.cip.solver.CIPSolver` held one plain python
 list per plugin kind.  That shape cannot express what a modern kernel
 needs: deterministic ordering with *position hooks* (a conflict-pool
 propagator must consult learned clauses before the generic propagators
-re-derive them), per-kind whitelists that UG racing varies per rank
-(generalizing the PR-9 ``heuristic_portfolio``), and quarantine-aware
-iteration so containment lives in one place instead of at every call
-site.
+re-derive them), per-kind whitelists that UG racing varies per rank, and
+quarantine-aware iteration so containment lives in one place instead of
+at every call site.
 
 The registry stores, per kind, an ordered list of entries sorted by
 ``(position, -priority, registration tick)`` — ``position="front"``
@@ -15,10 +14,6 @@ entries run before everything, ``"back"`` after everything, and plain
 registrations order by plugin priority with registration order as the
 deterministic tie-break (matching the old ``sort(key=-priority)``
 stable-sort behaviour exactly).
-
-:class:`KindView` keeps the historical mutable attributes
-(``solver.heuristics.append(...)``, ``solver.branching_rules.clear()``)
-working: it is a live list-like view backed by the registry.
 
 The module also owns the **plugin-name catalog**: every concrete
 :class:`~repro.cip.plugins.Plugin` subclass that declares a ``name``
@@ -31,7 +26,7 @@ construction instead of silently disabling every plugin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.exceptions import ModelError, PluginError
 
@@ -212,8 +207,7 @@ class PluginRegistry:
         """Execution-ordered plugins surviving whitelist + quarantine.
 
         ``whitelist=None`` means "no restriction"; an empty sequence
-        disables the whole kind (matching ``heuristic_portfolio``
-        semantics).
+        disables the whole kind.
         """
         out = []
         for plugin in self.plugins(kind):
@@ -232,57 +226,3 @@ class PluginRegistry:
         effective plugin composition from this.
         """
         return {kind: list(self.names(kind)) for kind in PLUGIN_KINDS if self._entries[kind]}
-
-
-class KindView:
-    """Live list-like view of one registry kind (back-compat surface).
-
-    Historical call sites treat ``solver.heuristics`` & co. as plain
-    lists: they ``append``/``extend``/``clear``/iterate/index them.  This
-    view forwards all of that to the registry so there is exactly one
-    source of truth for ordering and duplicates.
-    """
-
-    __slots__ = ("_registry", "_kind")
-
-    def __init__(self, registry: PluginRegistry, kind: str) -> None:
-        self._registry = registry
-        self._kind = kind
-
-    def append(self, plugin: "Plugin") -> None:
-        self._registry.register(self._kind, plugin)
-
-    def extend(self, plugins: Iterable["Plugin"]) -> None:
-        for p in plugins:
-            self.append(p)
-
-    def insert(self, index: int, plugin: "Plugin") -> None:
-        # registry order is semantic, not positional: front/back hooks are
-        # the supported way to force placement
-        self._registry.register(self._kind, plugin, position="front" if index == 0 else None)
-
-    def remove(self, plugin: "Plugin") -> None:
-        if not self._registry.remove(self._kind, plugin.name):
-            raise ValueError(f"{plugin.name!r} not registered")
-
-    def clear(self) -> None:
-        self._registry.clear(self._kind)
-
-    def __iter__(self) -> Iterator["Plugin"]:
-        return iter(self._registry.plugins(self._kind))
-
-    def __len__(self) -> int:
-        return len(self._registry.plugins(self._kind))
-
-    def __getitem__(self, index):
-        return self._registry.plugins(self._kind)[index]
-
-    def __contains__(self, plugin: object) -> bool:
-        plugins = self._registry.plugins(self._kind)
-        return plugin in plugins or any(getattr(plugin, "name", None) == p.name for p in plugins)
-
-    def __bool__(self) -> bool:
-        return bool(self._registry.plugins(self._kind))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<KindView {self._kind}: {list(self._registry.names(self._kind))}>"

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.cip.conflict import ConflictAnalyzer, ConflictPropagator
 from repro.cip.cutpool import CutPool
-from repro.cip.estimate import RestartManager, TreeSizeEstimator
+from repro.cip.estimate import MAX_RESTARTS, RestartManager, TreeSizeEstimator
 from repro.cip.model import Model
 from repro.cip.node import Node
 from repro.cip.params import ParamSet
@@ -45,19 +45,15 @@ from repro.cip.plugins import (
     Separator,
 )
 from repro.cip.quarantine import EssentialPluginFailure, PluginQuarantine
-from repro.cip.registry import KindView, PluginRegistry
+from repro.cip.registry import PluginRegistry
 from repro.cip.result import SolveResult, SolveStats, SolveStatus, Solution
-from repro.cip.symmetry import (
-    LexSymmetryPropagator,
-    OrbitalFixingPropagator,
-    SymmetryInfo,
-    find_generators,
-)
+from repro.cip.symmetry import OrbitalFixingPropagator, SymmetryInfo, find_generators
 from repro.cip.tree import NodeTree
 from repro.exceptions import PluginError
-from repro.lp import HighsLP, LinearProgram, LPSolution, LPStatus, RobustLPSolver, solve_lp
+from repro.lp import HighsLP, LinearProgram, LPSolution, LPStatus, RobustLPSolver
+# re-exported: the perf ledger's span recorder wraps ``solve_lp`` here by name
+from repro.lp import solve_lp  # noqa: F401
 from repro.lp.scipy_backend import solve_with_scipy
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.utils import Budget, DEFAULT_TOL, Stopwatch, Tolerances, make_rng
 
@@ -65,6 +61,10 @@ from repro.utils import Budget, DEFAULT_TOL, Stopwatch, Tolerances, make_rng
 WORK_PER_NODE = 1e-3
 WORK_PER_LP_ITER = 2e-4
 WORK_PER_CUT = 5e-5
+
+# tailing off: stop re-solving the cut loop once a round improves the
+# bound by less than this (relative) amount
+MIN_BOUND_IMPROVE = 1e-6
 
 
 @dataclass
@@ -90,28 +90,19 @@ class CIPSolver:
         self.params = params or ParamSet()
         self.tol = tol
 
-        # ordered plugin registry; the per-kind attributes are live
-        # list-like views kept for the historical mutation surface
-        # (tests and apps append/extend/clear them directly)
+        # ordered plugin registry: the one plugin surface (include_* below
+        # and registry.* for direct mutation)
         self.registry = PluginRegistry()
-        self.presolvers = KindView(self.registry, "presolver")
-        self.propagators = KindView(self.registry, "propagator")
-        self.separators = KindView(self.registry, "separator")
-        self.heuristics = KindView(self.registry, "heuristic")
-        self.branching_rules = KindView(self.registry, "branching")
-        self.conshdlrs = KindView(self.registry, "conshdlr")
-        self.event_handlers = KindView(self.registry, "event")
-
+        # the one counter store: stats.extra via stats.bump
         self.stats = SolveStats()
         self.cutpool = CutPool()
         self.incumbent: Solution | None = None
         self.rng = make_rng(self.params.permutation_seed)
 
         # robustness layer: quarantine ledger, LP failover chain, budget,
-        # observability endpoints (UG attaches its shared tracer here)
+        # trace endpoint (UG attaches its shared tracer here)
         self.tracer = NULL_TRACER
         self.trace_rank = 0
-        self.metrics = MetricsRegistry()
         self.budget = Budget(soft_memory_limit_mb=self.params.soft_memory_limit_mb)
         self.quarantine = PluginQuarantine(max_failures=self.params.plugin_max_failures)
         self._robust_lp = RobustLPSolver(self.params.lp_backend)
@@ -134,15 +125,12 @@ class CIPSolver:
         self._current_node: Node | None = None
         self._local_lb: np.ndarray | None = None
         self._local_ub: np.ndarray | None = None
-        self._processed_any = False
         self._root_processed = False
 
         # -- modern kernel subsystems (all inert unless enabled in params)
         self.conflict: ConflictAnalyzer | None = None
         if self.params.conflict_analysis:
-            self.conflict = ConflictAnalyzer(
-                model, self.params.conflict_pool_size, self.params.conflict_max_literals
-            )
+            self.conflict = ConflictAnalyzer(model)
             # front of the propagator order: learned clauses prune before
             # the arithmetic propagators re-derive the same dead ends
             self.registry.register("propagator", ConflictPropagator(self.conflict), position="front")
@@ -150,7 +138,7 @@ class CIPSolver:
         self._symmetry_done = False
         self.estimator = TreeSizeEstimator()
         self._restart_mgr = RestartManager(
-            self.params.restart_max if self.params.restarts else 0,
+            MAX_RESTARTS if self.params.restarts else 0,
             self.params.restart_min_nodes,
             self.params.restart_node_factor,
         )
@@ -241,7 +229,6 @@ class CIPSolver:
         """Ledger one failed callback; returns True when it trips quarantine."""
         tripped, count = self.quarantine.record_failure(plugin.name, exc)
         self.stats.bump("plugin_failures")
-        self.metrics.inc("plugin_failures")
         self._emit(
             "plugin_failure",
             plugin=plugin.name,
@@ -251,7 +238,6 @@ class CIPSolver:
         )
         if tripped:
             self.stats.bump("plugins_quarantined")
-            self.metrics.inc("plugins_quarantined")
             self._emit("plugin_quarantined", plugin=plugin.name, callback=kind, failures=count)
         return tripped
 
@@ -283,17 +269,14 @@ class CIPSolver:
         if self._degraded is None:
             self._degraded = reason
             self.stats.bump("numerical_degradations")
-            self.metrics.inc("numerical_degradations")
             self._emit("solver_degraded", reason=reason)
 
     def _count(self, key: str, amount: int = 1) -> None:
         if amount:
             self.stats.bump(key, amount)
-            self.metrics.inc(key, amount)
 
     def _note_budget_stop(self, scope: str) -> None:
         self.stats.bump("budget_stops")
-        self.metrics.inc("budget_stops")
         self._emit("budget_exhausted", scope=scope)
 
     def _relieve_memory_pressure(self) -> None:
@@ -302,7 +285,6 @@ class CIPSolver:
         evicted = self.cutpool.shrink(0.5)
         self._heur_throttle = min(self._heur_throttle * 2, 64)
         self.stats.bump("memory_pressure_events")
-        self.metrics.inc("memory_pressure_events")
         self._emit("memory_pressure", cuts_evicted=evicted, heur_throttle=self._heur_throttle)
 
     @property
@@ -318,13 +300,10 @@ class CIPSolver:
         auxiliary LPs here instead of calling ``solve_lp`` directly, so
         they inherit failover and deadline enforcement.
         """
-        if not self.params.lp_failover:
-            return solve_lp(lp, self.params.lp_backend, budget=self.lp_budget, **kwargs)
         self._robust_lp.budget = self.lp_budget
         sol = self._robust_lp.solve(lp, **kwargs)
         if len(sol.attempts) > 1:
             self.stats.bump("lp_failovers")
-            self.metrics.inc("lp_failovers")
             self._emit(
                 "lp_failover",
                 path=[f"{a.backend}/{a.strategy}:{a.status.value}" for a in sol.attempts],
@@ -461,7 +440,6 @@ class CIPSolver:
         self._node_counter = 1
         self._tree.push(root)
         self.stats.nodes_created += 1  # the root, counted once per tree
-        self._processed_any = False
         self._root_processed = False
         self._root_tightenings = {}
         self._nodes_at_tree_start = self.stats.nodes_processed
@@ -471,7 +449,7 @@ class CIPSolver:
 
     def _setup_symmetry(self) -> None:
         """Detect formulation symmetry once (post-presolve) and install
-        the reduction propagator for the configured mode.
+        the orbital-fixing propagator.
 
         Gated to purely linear models: a constraint handler or relaxator
         owns constraints the variable/constraint graph cannot see, so
@@ -486,21 +464,13 @@ class CIPSolver:
         if self.registry.plugins("conshdlr") or self.relaxator is not None:
             self._emit("symmetry_skipped", reason="nonlinear_plugins")
             return
-        info = find_generators(
-            self.model, max_generators=self.params.symmetry_max_generators
-        )
+        info = find_generators(self.model)
         self.symmetry = info
         if not info.nontrivial:
             self._emit("symmetry_skipped", reason="no_generators")
             return
-        prop: Propagator
-        if self.params.symmetry_mode == "orbital":
-            prop = OrbitalFixingPropagator(info, self.model)
-        else:
-            prop = LexSymmetryPropagator(info, self.model)
-        self.registry.register("propagator", prop)
+        self.registry.register("propagator", OrbitalFixingPropagator(info, self.model))
         self.stats.bump("symmetry_generators", len(info.generators))
-        self.metrics.inc("symmetry_generators", len(info.generators))
         self._emit(
             "symmetry_detected",
             mode=self.params.symmetry_mode,
@@ -549,23 +519,13 @@ class CIPSolver:
             return None
         return self._tree.extract_heaviest()
 
-    def open_nodes(self) -> list[Node]:
-        return [] if self._tree is None else self._tree.nodes()
-
-    def inject_node(self, node: Node) -> None:
-        """Push an externally supplied node into the tree."""
-        assert self._tree is not None
-        node.node_id = self._node_counter
-        self._node_counter += 1
-        self._tree.push(node)
-
     # -- estimation-driven restarts -----------------------------------------
 
     def _capture_root_tightenings(self, root: Node) -> None:
         """Record globally valid bound tightenings proven at the root.
 
         A restart re-creates the root with these merged in, so root
-        propagation/conflict/lex reductions are not re-derived and — more
+        propagation/conflict/symmetry reductions are not re-derived and — more
         importantly — are not *lost* when the tree is discarded.
         """
         if self._local_lb is None or self._local_ub is None:
@@ -606,7 +566,6 @@ class CIPSolver:
         if math.isfinite(carried_bound):
             est = max(est, carried_bound)
         self.stats.bump("restarts")
-        self.metrics.inc("kernel_restarts")
         self._emit(
             "restart",
             number=self._restart_mgr.done,
@@ -660,7 +619,6 @@ class CIPSolver:
             work += self._process_node(node, is_root)
         finally:
             self._current_node = None
-            self._processed_any = True
             self._root_processed = True
         self.stats.nodes_processed += 1
         self.stats.total_work += work
@@ -724,7 +682,6 @@ class CIPSolver:
         clause = self.conflict.analyze(seed)
         if clause is not None:
             self.stats.bump("conflicts_learned")
-            self.metrics.inc("conflicts_learned")
             self._emit("conflict_learned", literals=len(clause.lits), source="propagation")
         else:
             self.stats.bump("conflicts_abandoned")
@@ -736,14 +693,11 @@ class CIPSolver:
         clause = self.conflict.analyze_all_decisions()
         if clause is not None:
             self.stats.bump("conflicts_learned")
-            self.metrics.inc("conflicts_learned")
             self._emit("conflict_learned", literals=len(clause.lits), source="lp")
         else:
             self.stats.bump("conflicts_abandoned")
 
     def _propagate(self, node: Node) -> PropagationStatus:
-        if not self.params.propagation:
-            return PropagationStatus.UNCHANGED
         overall = PropagationStatus.UNCHANGED
         for _round in range(5):
             changed = False
@@ -756,7 +710,7 @@ class CIPSolver:
                     return PropagationStatus.INFEASIBLE
                 if res.status is PropagationStatus.REDUCED:
                     changed = True
-            for h in self.conshdlrs:
+            for h in self.registry.plugins("conshdlr"):
                 res = self._guarded(
                     h, "propagate", PropagationResult(), lambda p=h: p.propagate(self, node)
                 )
@@ -887,12 +841,10 @@ class CIPSolver:
 
     def _separate(self, node: Node, x: np.ndarray, is_root: bool) -> tuple[int, float]:
         """One separation round; returns (#cuts added, work)."""
-        if not self.params.separation:
-            return 0, 0.0
         added = 0
         work = 0.0
         budget = self.params.max_cuts_per_round
-        for plugin in list(self.conshdlrs) + self._active("separator"):
+        for plugin in self.registry.plugins("conshdlr") + self._active("separator"):
             if added >= budget:
                 break
             sep = getattr(plugin, "separate", None)
@@ -924,7 +876,7 @@ class CIPSolver:
         # quarantine, and a crashing check conservatively rejects the
         # candidate (accepting an unverified point could corrupt the
         # incumbent, rejecting only costs a solution)
-        for h in self.conshdlrs:
+        for h in self.registry.plugins("conshdlr"):
             try:
                 ok = h.check(self, x)
             except Exception as exc:
@@ -936,7 +888,7 @@ class CIPSolver:
 
     def _run_heuristics(self, node: Node, x: np.ndarray | None, is_root: bool) -> None:
         freq = self.params.heur_frequency * self._heur_throttle
-        if not self.params.heuristics or freq <= 0:
+        if freq <= 0:
             return
         if not is_root and self.stats.nodes_processed % freq != 0:
             return
@@ -948,8 +900,6 @@ class CIPSolver:
 
     def _branch(self, node: Node, x: np.ndarray | None) -> int:
         rules = self._active("branching")
-        if self.params.branching_rule:
-            rules = [r for r in rules if r.name == self.params.branching_rule] or rules
         failed = 0
         for rule in rules:
             if self.quarantine.is_quarantined(rule.name):
@@ -1033,7 +983,7 @@ class CIPSolver:
             rounds += 1
             if n_cuts == 0:
                 break
-            if rounds > 1 and bound - prev_bound < self.params.min_bound_improve * max(1.0, abs(bound)):
+            if rounds > 1 and bound - prev_bound < MIN_BOUND_IMPROVE * max(1.0, abs(bound)):
                 # tailing off: keep the cuts but stop re-solving
                 break
 
@@ -1107,7 +1057,6 @@ class CIPSolver:
         self._lost_bound = min(self._lost_bound, node.lower_bound)
         self.stats.bump("unresolved_nodes")
         self.stats.nodes_pruned += 1
-        self.metrics.inc("unresolved_nodes")
         self._emit("node_unresolved", node=node.node_id, bound=node.lower_bound)
 
     # -- convenience driver -----------------------------------------------------

@@ -8,27 +8,20 @@ permutations are built by budget-limited individualization–refinement
 and then verified **exactly** against the model
 (:func:`is_model_automorphism`) — a returned generator is never
 heuristic.  Finding only a subgroup is always sound: subgroup orbits are
-finer than true orbits, so both reductions below only get weaker, never
+finer than true orbits, so the reduction below only gets weaker, never
 wrong.
 
-Two mutually exclusive reductions (``ParamSet.symmetry_mode``):
+The reduction (``ParamSet.symmetry_mode="orbital"``) is Ostrowski-style
+orbital fixing: at a node with branching-fixed one-set ``B1`` and
+zero-set ``B0``, compute orbits of the subgroup of found generators that
+stabilize ``B1`` setwise; every orbit containing a branching-zero-fixed
+variable is fixed to zero entirely.  Optimality (not per-node
+feasibility) is preserved: some optimal solution survives in the reduced
+tree.
 
-* ``"lex"`` — static lex-leader constraints ``x >=_lex g(x)`` per
-  generator, enforced by propagation.  Each such constraint is globally
-  valid on its own (the lex-max representative of every orbit satisfies
-  all of them simultaneously), so any subset is valid.
-* ``"orbital"`` — Ostrowski-style orbital fixing: at a node with
-  branching-fixed one-set ``B1`` and zero-set ``B0``, compute orbits of
-  the subgroup of found generators that stabilize ``B1`` setwise; every
-  orbit containing a branching-zero-fixed variable is fixed to zero
-  entirely.  Optimality (not per-node feasibility) is preserved: some
-  optimal solution survives in the reduced tree.
-
-Combining the two is unsound (they may each discard the other's chosen
-representative), hence the one-of mode.  Under UG, every rank must
-derive the *identical* generator set — detection is seeded by
-``ParamSet.symmetry_seed`` (fixed across a run), never by the per-rank
-``permutation_seed``.
+Under UG, every rank must derive the *identical* generator set.
+Detection uses no random numbers (cells are searched in index order), so
+it never depends on the per-rank ``permutation_seed``.
 
 :func:`canonical_form` exposes the labeling machinery for reuse outside
 the kernel: a budget-limited backtracking canonical labeling of a
@@ -49,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cip.solver import CIPSolver
 
 _ROUND = 9  # float bucketing for colors/labels (exactness is restored by verification)
+MAX_GENERATORS = 64  # generators kept per model; a subgroup is always sound
 
 
 # -- colored graphs and refinement ------------------------------------------
@@ -234,18 +228,16 @@ class SymmetryInfo:
 
 def find_generators(
     model: "Model",
-    max_generators: int = 64,
+    max_generators: int = MAX_GENERATORS,
     budget: int = 2000,
-    binary_only: bool = True,
 ) -> SymmetryInfo:
     """Detect verified symmetry generators of the linear model.
 
     Deterministic: the search individualizes the first member of each
-    refined cell against every other member, in index order.  With
-    ``binary_only`` (the kernel's setting) a generator is kept only when
-    it moves at least one *binary* variable — the propagators below
-    reason over 0/1 fixings exclusively, so a generator moving none is
-    useless to them.  Generators may additionally move continuous
+    refined cell against every other member, in index order.  A
+    generator is kept only when it moves at least one *binary* variable — the propagator below
+    reasons over 0/1 fixings exclusively, so a generator moving none is
+    useless to it.  Generators may additionally move continuous
     variables (e.g. the flow variables riding along with edge variables
     in a flow formulation): automorphisms preserve variable type, so
     every orbit is type-homogeneous and the binary orbits remain valid
@@ -278,7 +270,7 @@ def find_generators(
             key = tuple(perm)
             if key in seen or all(perm[j] == j for j in range(n_vars)):
                 continue
-            if binary_only and not any(perm[j] != j and binary[j] for j in range(n_vars)):
+            if not any(perm[j] != j and binary[j] for j in range(n_vars)):
                 continue
             if is_model_automorphism(model, perm):
                 seen.add(key)
@@ -309,7 +301,7 @@ def orbits_of(n: int, generators: Sequence[Sequence[int]]) -> list[list[int]]:
     return [sorted(g) for g in groups.values() if len(g) > 1]
 
 
-# -- reductions: propagator plugins -----------------------------------------
+# -- reduction: the orbital-fixing propagator ---------------------------------
 
 
 class OrbitalFixingPropagator(Propagator):
@@ -372,66 +364,6 @@ class OrbitalFixingPropagator(Propagator):
                     tightened += 1
         if tightened:
             solver.stats.bump("orbital_fixings", tightened)
-            return PropagationResult(PropagationStatus.REDUCED, tightened)
-        return PropagationResult()
-
-
-class LexSymmetryPropagator(Propagator):
-    """Propagate the lex-leader constraints ``x >=_lex g(x)``.
-
-    For each generator ``g`` the comparison permutation ``q = g^{-1}``
-    gives ``(g(x))_i = x_{q(i)}``; positions are scanned in index order
-    over the moved binary variables, enforcing the classic two-vector
-    lex propagation between ``x`` and its image.  Restricting the
-    comparison to binary positions stays valid even when ``g`` also
-    moves continuous variables: the element of each orbit maximizing the
-    *binary subvector* lexicographically satisfies every restricted
-    constraint simultaneously.
-    """
-
-    name = "lex_symmetry"
-    priority = 40
-
-    def __init__(self, info: SymmetryInfo, model: "Model") -> None:
-        self.info = info
-        binary = [
-            v.is_integral and v.lb >= -1e-9 and v.ub <= 1.0 + 1e-9 for v in model.variables
-        ]
-        self._compare: list[list[tuple[int, int]]] = []
-        for g in info.generators:
-            inv = [0] * len(g)
-            for j, t in enumerate(g):
-                inv[t] = j
-            self._compare.append(
-                [(i, inv[i]) for i in range(len(g)) if inv[i] != i and binary[i]]
-            )
-
-    def propagate(self, solver: "CIPSolver", node: "Node") -> PropagationResult:
-        tightened = 0
-        for pairs in self._compare:
-            for i, qi in pairs:
-                lo_a, hi_a = solver.local_bounds(i)
-                lo_b, hi_b = solver.local_bounds(qi)
-                a_fixed0, a_fixed1 = hi_a <= 0.5, lo_a >= 0.5
-                b_fixed0, b_fixed1 = hi_b <= 0.5, lo_b >= 0.5
-                if a_fixed1 and b_fixed0:
-                    break  # x > g(x) already strict: constraint satisfied
-                if a_fixed1 and b_fixed1 or a_fixed0 and b_fixed0:
-                    continue  # equal so far: compare the next position
-                if a_fixed0 and b_fixed1:
-                    solver.stats.bump("lex_prunes")
-                    return PropagationResult(PropagationStatus.INFEASIBLE)
-                if b_fixed1:  # a free: x_i must be 1 to avoid x <lex g(x)
-                    if solver.tighten_lb(i, 1.0):
-                        tightened += 1
-                    continue
-                if a_fixed0:  # b free: image position must be 0
-                    if solver.tighten_ub(qi, 0.0):
-                        tightened += 1
-                    continue
-                break  # both free (or one free vs free): nothing forced
-        if tightened:
-            solver.stats.bump("lex_fixings", tightened)
             return PropagationResult(PropagationStatus.REDUCED, tightened)
         return PropagationResult()
 

@@ -80,7 +80,3 @@ class NodeTree:
         heapq.heapify(self._heap)
         self._size -= 1
         return node
-
-    def nodes(self) -> list[Node]:
-        """Snapshot of all open nodes (unspecified order)."""
-        return [n for _, _, n in self._heap]

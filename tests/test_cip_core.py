@@ -171,5 +171,39 @@ class TestParams:
         q = p.with_changes(node_limit=3)
         assert q.get_extra("steiner/extended_reductions") is True
 
+    def test_with_changes_rejects_unknown_plain_key(self):
+        # a typo (or a retired field) must not vanish into extras
+        with pytest.raises(ModelError, match="heur_frequncy"):
+            ParamSet().with_changes(heur_frequncy=0)
+        with pytest.raises(ModelError, match="heuristics"):
+            ParamSet().with_changes(heuristics=False)
+        assert ParamSet().with_changes(**{"ns/knob": 1}).get_extra("ns/knob") == 1
+
+    def test_symmetry_mode_is_off_or_orbital(self):
+        assert ParamSet(symmetry_mode="orbital").symmetry_mode == "orbital"
+        with pytest.raises(ModelError, match="symmetry_mode"):
+            ParamSet(symmetry_mode="lex")
+
+    def test_every_field_turns_something(self):
+        """Dead-knob guard: every ParamSet field (bar the ``emphasis``
+        label and the ``extras`` container) is read as an attribute
+        somewhere in the package outside ``cip/params.py``."""
+        import ast
+        from dataclasses import fields
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        read: set[str] = set()
+        for path in root.rglob("*.py"):
+            if path == root / "cip" / "params.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        knobs = {f.name for f in fields(ParamSet)} - {"emphasis", "extras"}
+        assert sorted(knobs - read) == []
+
     def test_easycip_cheaper_than_aggressive(self):
         assert emphasis("easycip").max_sepa_rounds < emphasis("aggressive").max_sepa_rounds

@@ -2,7 +2,7 @@
 
 The registry is the refactored spine of the CIP kernel — these tests pin
 its contract: deterministic ``(position, -priority, arrival)`` ordering,
-the live ``KindView`` back-compat surface, quarantine- and
+registration through the solver's ``include_*`` methods, quarantine- and
 whitelist-filtered iteration, the plugin-name catalog behind ``ParamSet``
 validation, and the wire-codec round trip of per-kind whitelists.
 """
@@ -118,40 +118,36 @@ class TestFilteredIteration:
         assert set(spec) <= set(PLUGIN_KINDS)
 
 
-class TestKindView:
-    def test_views_are_live_and_forward_mutations(self):
+class TestSolverRegistration:
+    @staticmethod
+    def _solver():
         from repro.cip.model import Model
         from repro.cip.solver import CIPSolver
 
         m = Model()
         m.add_variable("x")
-        solver = CIPSolver(m)
-        solver.heuristics.append(_heur("ha", 1))
-        solver.heuristics.extend([_heur("hb", 5)])
-        assert [p.name for p in solver.heuristics] == ["hb", "ha"]
-        assert len(solver.heuristics) == 2
-        assert solver.heuristics[0].name == "hb"
-        assert _heur("ha") in solver.heuristics  # by-name membership
-        solver.heuristics.clear()
-        assert not solver.heuristics
+        return CIPSolver(m)
 
-    def test_insert_front_forces_first_place(self):
-        from repro.cip.model import Model
-        from repro.cip.solver import CIPSolver
+    def test_include_orders_by_priority(self):
+        solver = self._solver()
+        solver.include_heuristic(_heur("ha", 1))
+        solver.include_heuristic(_heur("hb", 5))
+        assert solver.registry.names("heuristic") == ("hb", "ha")
+        solver.registry.clear("heuristic")
+        assert solver.registry.plugins("heuristic") == []
 
-        m = Model()
-        m.add_variable("x")
-        solver = CIPSolver(m)
-        solver.propagators.append(_prop("big", 1000))
-        solver.propagators.insert(0, _prop("urgent", -1))
-        assert [p.name for p in solver.propagators] == ["urgent", "big"]
+    def test_include_front_forces_first_place(self):
+        solver = self._solver()
+        solver.include_propagator(_prop("big", 1000))
+        solver.include_propagator(_prop("urgent", -1), position="front")
+        assert solver.registry.names("propagator") == ("urgent", "big")
 
 
 class TestCatalogAndParamValidation:
     def test_first_party_names_are_known(self):
         known = known_plugin_names()
         for name in ("integrality", "linear_activity", "steiner_tm", "conflict",
-                     "orbital_fixing", "lex_symmetry", "sdp_eigcuts"):
+                     "orbital_fixing", "sdp_eigcuts"):
             assert name in known, name
 
     def test_validate_unknown_name_raises(self):
@@ -167,15 +163,6 @@ class TestCatalogAndParamValidation:
             ParamSet(plugin_whitelists={"conshdlr": ()})
         assert "conshdlr" not in WHITELISTABLE_KINDS
         assert "relaxator" not in WHITELISTABLE_KINDS
-
-    def test_whitelist_for_portfolio_precedence(self):
-        p = ParamSet(
-            heuristic_portfolio=("steiner_tm",),
-            plugin_whitelists={"heuristic": ("steiner_mstc",), "separator": ()},
-        )
-        assert p.whitelist_for("heuristic") == ("steiner_tm",)
-        assert p.whitelist_for("separator") == ()
-        assert p.whitelist_for("propagator") is None
 
     def test_plugin_whitelists_survive_json_wire(self):
         p = ParamSet(

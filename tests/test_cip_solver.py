@@ -56,7 +56,7 @@ class TestMIPSolve:
         for i in range(8):
             m.add_variable(vtype=VarType.BINARY, obj=-1.0)
         m.add_constraint({i: 1.0 for i in range(8)}, rhs=4.5)
-        solver = make_mip_solver(m, ParamSet(heuristics=False, presolve=False))
+        solver = make_mip_solver(m, ParamSet(heur_frequency=0, presolve=False))
         res = solver.solve(node_limit=1)
         assert res.nodes_processed <= 1
 
@@ -69,7 +69,7 @@ class TestMIPSolve:
 
     def test_callback_interrupt(self):
         m = knapsack_model()
-        solver = make_mip_solver(m, ParamSet(heuristics=False))
+        solver = make_mip_solver(m, ParamSet(heur_frequency=0))
         res = solver.solve(callback=lambda s: False)
         assert res.status is SolveStatus.INTERRUPTED
 

@@ -95,7 +95,7 @@ class TestUgRacingCertificates:
         assert report.ok, report
         assert math.isclose(res.objective, seq.cost, rel_tol=1e-9, abs_tol=1e-6)
 
-    def test_heuristic_portfolio_run_is_exact_per_portfolio(self):
+    def test_each_portfolio_run_is_exact(self):
         from repro.apps.stp_plugins import STP_PORTFOLIOS
 
         gi = generate_family(
@@ -105,7 +105,7 @@ class TestUgRacingCertificates:
         for _name, portfolio in STP_PORTFOLIOS:
             sol = SteinerSolver(
                 gi.instance.copy(),
-                params=ParamSet(heuristic_portfolio=portfolio),
+                params=ParamSet(plugin_whitelists=None if portfolio is None else {"heuristic": portfolio}),
                 seed=4,
             ).solve()
             assert math.isclose(sol.cost, optimum, rel_tol=1e-9, abs_tol=1e-6), _name

@@ -257,8 +257,8 @@ class TestPluginQuarantine:
         assert [e.data["reason"] for e in tracer.events("solver_degraded")] == ["relaxator"]
 
     def test_all_branching_rules_failing_degrades(self):
-        solver = make_mip_solver(knapsack_model(), ParamSet(heuristics=False))
-        solver.branching_rules.clear()
+        solver = make_mip_solver(knapsack_model(), ParamSet(heur_frequency=0))
+        solver.registry.clear("branching")
         solver.include_branching_rule(FailingBranchingRule())
         res = solver.solve()
         assert res.status is SolveStatus.NUMERICAL_ERROR
@@ -267,7 +267,7 @@ class TestPluginQuarantine:
         assert solver.stats.extra["unresolved_nodes"] >= 1
 
     def test_surviving_branching_rule_keeps_solve_exact(self):
-        solver = make_mip_solver(knapsack_model(), ParamSet(heuristics=False))
+        solver = make_mip_solver(knapsack_model(), ParamSet(heur_frequency=0))
         solver.include_branching_rule(FailingBranchingRule())  # outranks the others
         res = solver.solve()
         assert res.status is SolveStatus.OPTIMAL
@@ -280,7 +280,7 @@ class TestPluginQuarantine:
 
 class TestUnresolvedNodeAccounting:
     def test_unresolvable_nodes_forfeit_infeasibility_claim(self):
-        solver = make_mip_solver(knapsack_model(), ParamSet(heuristics=False))
+        solver = make_mip_solver(knapsack_model(), ParamSet(heur_frequency=0))
         solver.include_constraint_handler(RejectAllHandler())
         tracer = Tracer()
         solver.tracer = tracer
@@ -305,7 +305,7 @@ class TestUnresolvedNodeAccounting:
             def propagate(self, solver, node):
                 return PropagationResult()
 
-        solver = make_mip_solver(knapsack_model(), ParamSet(heuristics=False))
+        solver = make_mip_solver(knapsack_model(), ParamSet(heur_frequency=0))
         solver.include_constraint_handler(RejectX3())
         res = solver.solve()
         # best solution with x3 = 0 is x0 = x1 = 1 -> -23, but the x3 = 1
@@ -321,10 +321,10 @@ class TestUnresolvedNodeAccounting:
 
 class TestRootNodeCounting:
     def test_root_counted_once_across_resumed_solves(self):
-        one_shot = make_mip_solver(knapsack_model(), ParamSet(heuristics=False))
+        one_shot = make_mip_solver(knapsack_model(), ParamSet(heur_frequency=0))
         reference = one_shot.solve()
 
-        resumed = make_mip_solver(knapsack_model(), ParamSet(heuristics=False))
+        resumed = make_mip_solver(knapsack_model(), ParamSet(heur_frequency=0))
         res = resumed.solve(node_limit=1)
         while res.status is SolveStatus.NODE_LIMIT:
             res = resumed.solve(node_limit=resumed.stats.nodes_processed + 1)
@@ -373,7 +373,7 @@ class TestBudget:
         assert r.iterations <= 4
 
     def test_deadline_mid_solve_is_traced_as_budget_stop(self):
-        solver = make_mip_solver(knapsack_model(), ParamSet(lp_backend="simplex", heuristics=False))
+        solver = make_mip_solver(knapsack_model(), ParamSet(lp_backend="simplex", heur_frequency=0))
         tracer = Tracer()
         solver.tracer = tracer
         budget = Budget(time_limit=40.0, clock=FakeClock(1.0)).start()

@@ -1,7 +1,8 @@
 """Heuristic-portfolio racing: whitelist plumbing, merit, robustness.
 
-Covers the portfolio field end to end: the CIP kernel honours the
-whitelist, a ``ParamSet`` carrying one survives the wire codec, a
+A portfolio is a ``plugin_whitelists["heuristic"]`` entry.  Covers it
+end to end: the CIP kernel honours the whitelist, the STP racing lanes
+carry exactly the whitelists they always did, a
 heuristic-rich portfolio beats the heuristic-free one in a two-solver
 race *independent of lane order* (the winner-selection tie-break favours
 rank 1, so lane-independence is what "wins on merit" means here), a
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 
 import pytest
 
@@ -21,6 +21,7 @@ from benchmarks.bench_portfolio_racing import run_portfolio_races
 from repro.apps.stp_plugins import STP_PORTFOLIOS, SteinerUserPlugins
 from repro.cip.params import ParamSet
 from repro.cip.plugins import Heuristic
+from repro.cip.registry import WHITELISTABLE_KINDS
 from repro.instances import generate_family
 from repro.steiner.solver import SteinerSolver
 from repro.ug import ug
@@ -29,6 +30,39 @@ from repro.verify.differential import brute_force_steiner
 from repro.verify.steiner import check_ug_steiner_result
 
 PORTFOLIO_OF = dict(STP_PORTFOLIOS)
+
+_CONSTRUCT = ("steiner_ascend_prune", "steiner_tm")
+_MST = ("steiner_mstc", "steiner_key_vertex")
+_LOCAL = ("steiner_tm", "steiner_key_vertex")
+_NO_DUAL_FIXING = ("integrality", "linear_activity")
+
+# the first 8 STP racing lanes' effective whitelists (missing kind =
+# unrestricted), as emitted before portfolios became plugin_whitelists
+DEFAULT_LANES = [
+    {},
+    {"heuristic": _CONSTRUCT},
+    {"heuristic": _MST},
+    {"heuristic": _LOCAL},
+    {"heuristic": ()},
+    {},
+    {"heuristic": _CONSTRUCT},
+    {"heuristic": _MST},
+]
+PLUGIN_SET_LANES = [
+    {},
+    {"propagator": _NO_DUAL_FIXING, "heuristic": _CONSTRUCT},
+    {"heuristic": _MST, "branching": ("steinervertex",)},
+    {"propagator": ("integrality",), "heuristic": _LOCAL},
+    {"heuristic": ()},
+    {"propagator": _NO_DUAL_FIXING},
+    {"heuristic": _CONSTRUCT, "branching": ("steinervertex",)},
+    {"propagator": ("integrality",), "heuristic": _MST},
+]
+
+
+def heuristic_whitelist(portfolio):
+    """ParamSet(plugin_whitelists=...) value for one heuristic portfolio."""
+    return None if portfolio is None else {"heuristic": portfolio}
 
 # reduction-resistant unit-cost instance where the full portfolio needs
 # ~3 nodes and the heuristic-free one ~26 (probed): the merit race below
@@ -92,7 +126,7 @@ class TwoLanePlugins(SteinerUserPlugins):
             base.with_changes(
                 permutation_seed=0,
                 heur_frequency=1,
-                heuristic_portfolio=PORTFOLIO_OF[name],
+                plugin_whitelists=heuristic_whitelist(PORTFOLIO_OF[name]),
                 extras={"stp/portfolio": name},
             )
             for name in self.order
@@ -104,7 +138,7 @@ class TestPortfolioWhitelist:
     def _prepared(self, portfolio):
         solver = SteinerSolver(
             _branching_graph(),
-            params=ParamSet(heuristic_portfolio=portfolio, heur_frequency=1),
+            params=ParamSet(plugin_whitelists=heuristic_whitelist(portfolio), heur_frequency=1),
             seed=0,
         )
         solver.prepare(reduce=False)
@@ -114,7 +148,8 @@ class TestPortfolioWhitelist:
     def test_whitelist_filters_heuristics(self):
         solver = self._prepared(("rec_a",))
         rec_a, rec_b = RecA(), RecB()
-        solver.cip.heuristics.extend([rec_a, rec_b])
+        solver.cip.include_heuristic(rec_a)
+        solver.cip.include_heuristic(rec_b)
         solver.cip.step()
         assert rec_a.calls > 0, "whitelisted heuristic never ran"
         assert rec_b.calls == 0, "non-whitelisted heuristic ran anyway"
@@ -122,23 +157,28 @@ class TestPortfolioWhitelist:
     def test_none_means_every_heuristic(self):
         solver = self._prepared(None)
         rec_a, rec_b = RecA(), RecB()
-        solver.cip.heuristics.extend([rec_a, rec_b])
+        solver.cip.include_heuristic(rec_a)
+        solver.cip.include_heuristic(rec_b)
         solver.cip.step()
         assert rec_a.calls > 0 and rec_b.calls > 0
 
     def test_empty_portfolio_disables_all(self):
         solver = self._prepared(())
         rec = RecA()
-        solver.cip.heuristics.append(rec)
+        solver.cip.include_heuristic(rec)
         solver.cip.step()
         assert rec.calls == 0
 
-    def test_paramset_portfolio_survives_json_wire(self):
-        p = ParamSet(heuristic_portfolio=("steiner_tm", "steiner_mstc"))
-        wire = json.loads(json.dumps(asdict(p)))  # tuples become lists on the wire
-        q = ParamSet(**wire)
-        assert q.heuristic_portfolio == p.heuristic_portfolio
-        assert isinstance(q.heuristic_portfolio, tuple)
+    @pytest.mark.parametrize(
+        "extras, expected",
+        [({}, DEFAULT_LANES), ({"stp/race_plugin_sets": True}, PLUGIN_SET_LANES)],
+        ids=["portfolios", "plugin_sets"],
+    )
+    def test_racing_lane_whitelists(self, extras, expected):
+        lanes = SteinerUserPlugins().racing_param_sets(8, ParamSet().with_changes(**extras))
+        for k, (params, want) in enumerate(zip(lanes, expected)):
+            for kind in WHITELISTABLE_KINDS:
+                assert params.whitelist_for(kind) == want.get(kind), (k, kind)
 
     def test_unknown_portfolio_name_rejected(self):
         """A typoed portfolio entry fails at ParamSet construction, not as
@@ -146,7 +186,7 @@ class TestPortfolioWhitelist:
         from repro.exceptions import ModelError
 
         with pytest.raises(ModelError, match="no_such_heuristic"):
-            ParamSet(heuristic_portfolio=("no_such_heuristic",))
+            ParamSet(plugin_whitelists={"heuristic": ("no_such_heuristic",)})
 
 
 def _two_lane_race(order: tuple[str, str], instance):
@@ -198,7 +238,7 @@ class QuarantinePlugins(SteinerUserPlugins):
     def create_handle(self, instance, node, params, seed, incumbent):
         handle = super().create_handle(instance, node, params, seed, incumbent)
         if handle.solver.cip is not None:
-            handle.solver.cip.heuristics.append(CrashingHeuristic())
+            handle.solver.cip.include_heuristic(CrashingHeuristic())
         return handle
 
     def racing_param_sets(self, n: int, base: ParamSet) -> list[ParamSet]:
@@ -208,7 +248,7 @@ class QuarantinePlugins(SteinerUserPlugins):
             base.with_changes(
                 permutation_seed=k,
                 heur_frequency=1,
-                heuristic_portfolio=("crash_heur",),
+                plugin_whitelists={"heuristic": ("crash_heur",)},
             )
             for k in range(n)
         ]
@@ -221,12 +261,12 @@ class TestQuarantinedPortfolio:
         optimum = brute_force_steiner(graph)
         solver = SteinerSolver(
             graph.copy(),
-            params=ParamSet(heuristic_portfolio=("crash_heur",), heur_frequency=1),
+            params=ParamSet(plugin_whitelists={"heuristic": ("crash_heur",)}, heur_frequency=1),
             seed=0,
         )
         solver.prepare(reduce=False)
         crasher = CrashingHeuristic()
-        solver.cip.heuristics.append(crasher)
+        solver.cip.include_heuristic(crasher)
         sol = solver.solve()
         assert math.isclose(sol.cost, optimum, rel_tol=1e-9, abs_tol=1e-6)
         assert solver.cip.quarantine.is_quarantined("crash_heur")

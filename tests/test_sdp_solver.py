@@ -44,7 +44,7 @@ class TestEigenvectorCuts:
         m.add_block(np.eye(2), {0: np.array([[0.0, -1.0], [-1.0, 0.0]])})
         solver = MISDPSolver(m, approach="lp")
         solver.prepare()
-        handler = next(h for h in solver.cip.conshdlrs if h.name == "sdp_eigcuts")
+        handler = solver.cip.registry.get("conshdlr", "sdp_eigcuts")
         y_bad = np.array([2.0])
         assert not handler.check(solver.cip, y_bad)
         cuts = handler.separate(solver.cip, None, y_bad)
@@ -59,7 +59,7 @@ class TestEigenvectorCuts:
         m.add_block(np.eye(2), {0: np.array([[0.0, -1.0], [-1.0, 0.0]])})
         solver = MISDPSolver(m, approach="lp")
         solver.prepare()
-        handler = next(h for h in solver.cip.conshdlrs if h.name == "sdp_eigcuts")
+        handler = solver.cip.registry.get("conshdlr", "sdp_eigcuts")
         assert handler.check(solver.cip, np.array([0.5]))
 
     def test_initial_diagonal_cuts_valid(self):

@@ -55,7 +55,7 @@ class TestCIPAudit:
         assert report.ok, report.summary()
 
     def test_branching_heavy_solve_accepted(self):
-        tracer, res = traced_mip_solve(ParamSet(heuristics=False, presolve=False))
+        tracer, res = traced_mip_solve(ParamSet(heur_frequency=0, presolve=False))
         report = audit_cip_trace(tracer, res)
         assert report.ok, report.summary()
         audited = next(c for c in report.checks if c.name == "nodes_audited")
@@ -67,7 +67,7 @@ class TestCIPAudit:
         assert report.skipped and report.ok
 
     def test_overflowed_ring_buffer_voids_audit(self):
-        solver = make_mip_solver(branching_model(), ParamSet(heuristics=False, presolve=False))
+        solver = make_mip_solver(branching_model(), ParamSet(heur_frequency=0, presolve=False))
         solver.tracer = Tracer(capacity=1)
         res = solver.solve()
         assert solver.tracer.dropped > 0
