@@ -11,10 +11,11 @@ outputs instead of ad-hoc fields scattered through the engines:
   :class:`~repro.obs.trace.Tracer`; under the SimEngine the stream is
   bit-identically reproducible for a given seed + FaultPlan, which turns
   the trace into a regression oracle for the protocol itself.
-* :mod:`repro.obs.metrics` — a counter/gauge/timer registry that is the
-  single mutation pathway for the run statistics feeding
-  :class:`~repro.ug.statistics.UGStatistics`, plus per-rank busy/idle
-  timelines derived from the trace.
+* :mod:`repro.obs.metrics` — the ``bump``/``peak`` verbs that make the
+  statistics dataclasses (:class:`~repro.ug.statistics.UGStatistics`,
+  the daemon's ``ServeStatistics``) the only counter store, a duration
+  :class:`~repro.obs.metrics.Timer`, and per-rank busy/idle timelines
+  derived from the trace.
 * :mod:`repro.obs.reporters` — paper-shaped artifact renderers
   (Table 1/4-style scaling rows, Figure 1-style racing-winner
   histograms, Tables 2-3-style restart progress logs) and the
@@ -22,14 +23,7 @@ outputs instead of ad-hoc fields scattered through the engines:
 """
 
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer, load_trace_jsonl
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
-    busy_timelines,
-    timeline_idle_ratios,
-)
+from repro.obs.metrics import Timer, busy_timelines, timeline_idle_ratios
 from repro.obs.reporters import (
     Report,
     progress_report,
@@ -45,10 +39,7 @@ __all__ = [
     "TraceEvent",
     "NULL_TRACER",
     "load_trace_jsonl",
-    "Counter",
-    "Gauge",
     "Timer",
-    "MetricsRegistry",
     "busy_timelines",
     "timeline_idle_ratios",
     "Report",

@@ -1,13 +1,14 @@
-"""Metrics registry — counters, gauges, timers and derived timelines.
+"""The counter store of the statistics dataclasses, one timer, and
+derived timelines.
 
-The registry is the single mutation pathway for the run statistics the
-paper's tables report.  Components increment named metrics instead of
-hand-maintaining fields; a registry constructed with a *sink* (the run's
-:class:`~repro.ug.statistics.UGStatistics`) write-throughs every update
-to the matching attribute, so the statistics object is always a live,
-consistent snapshot — checkpoints serialize it mid-run, tests read it
-whenever they like, and no ``+= 1`` is ever scattered through protocol
-code again.
+:class:`Counters` gives :class:`~repro.ug.statistics.UGStatistics` and
+``repro.serve``'s ``ServeStatistics`` their two update verbs — ``bump``
+and ``peak`` — so the dataclass fields are the only copy of every count:
+checkpoints serialize them mid-run, tests read them whenever they like,
+and a misspelled name raises instead of filing a new counter.  One
+module-level lock guards both verbs, because the rank-side channels of
+the threads engine and the wall-clock delay timers count from other
+threads.
 
 Timelines are *derived*, not collected: :func:`busy_timelines` folds the
 tracer's ``work`` events (each carrying a start time and a duration)
@@ -18,71 +19,42 @@ computes the paper's per-rank idle shares.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import TraceEvent, Tracer
 
-
-class Counter:
-    """A monotonically increasing integer/float metric."""
-
-    __slots__ = ("name", "value", "_registry")
-
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
-        self.value: float = 0
-        self._registry = registry
-
-    def inc(self, n: float = 1) -> float:
-        with self._registry._lock:
-            self.value += n
-            self._registry._mirror(self.name, self.value)
-        return self.value
+_LOCK = threading.Lock()
 
 
-class Gauge:
-    """A last-value metric with an optional maximize() convenience."""
+class Counters:
+    """Locked in-place updates of a statistics dataclass's own fields."""
 
-    __slots__ = ("name", "value", "_registry")
+    def bump(self, name: str, n: float = 1) -> None:
+        """Add ``n`` to field ``name`` (AttributeError if there is none)."""
+        with _LOCK:
+            setattr(self, name, getattr(self, name) + n)
 
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
-        self.value: Any = 0
-        self._registry = registry
-
-    def set(self, value: Any) -> None:
-        with self._registry._lock:
-            self.value = value
-            self._registry._mirror(self.name, value)
-
-    def maximize(self, value: Any) -> bool:
-        """Keep the running maximum; True when ``value`` set a new one."""
-        with self._registry._lock:
-            if value <= self.value:
+    def peak(self, name: str, value: Any) -> bool:
+        """Keep the running maximum in ``name``; True when ``value`` set a new one."""
+        with _LOCK:
+            if value <= getattr(self, name):
                 return False
-            self.value = value
-            self._registry._mirror(self.name, value)
+            setattr(self, name, value)
             return True
 
 
 class Timer:
     """Aggregated durations: count / total / min / max / mean."""
 
-    __slots__ = ("name", "count", "total", "min", "max", "_registry")
-
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = 0.0
-        self._registry = registry
 
     def observe(self, duration: float) -> None:
-        with self._registry._lock:
+        with _LOCK:
             self.count += 1
             self.total += duration
             self.min = min(self.min, duration)
@@ -92,14 +64,6 @@ class Timer:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - t0)
-
     def as_dict(self) -> dict[str, float]:
         return {
             "count": self.count,
@@ -108,75 +72,6 @@ class Timer:
             "max": self.max,
             "mean": self.mean,
         }
-
-
-class MetricsRegistry:
-    """Named metrics with optional write-through to a sink object.
-
-    When ``sink`` is given, every counter/gauge update whose name matches
-    an attribute on the sink is mirrored onto it — this is how the UG
-    layer keeps :class:`~repro.ug.statistics.UGStatistics` live while the
-    registry owns all mutation.
-    """
-
-    def __init__(self, sink: Any = None) -> None:
-        self.sink = sink
-        self._metrics: dict[str, Counter | Gauge | Timer] = {}
-        self._lock = threading.RLock()
-
-    # -- metric factories -------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer)
-
-    def _get(self, name: str, cls: type) -> Any:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = cls(name, self)
-                self._metrics[name] = metric
-            elif not isinstance(metric, cls):
-                raise TypeError(f"metric {name!r} is a {type(metric).__name__}, not a {cls.__name__}")
-            return metric
-
-    # -- conveniences -----------------------------------------------------------
-
-    def inc(self, name: str, n: float = 1) -> float:
-        return self.counter(name).inc(n)
-
-    def set(self, name: str, value: Any) -> None:
-        self.gauge(name).set(value)
-
-    def maximize(self, name: str, value: Any) -> bool:
-        return self.gauge(name).maximize(value)
-
-    def observe(self, name: str, duration: float) -> None:
-        self.timer(name).observe(duration)
-
-    def value(self, name: str) -> Any:
-        with self._lock:
-            metric = self._metrics.get(name)
-        if metric is None:
-            return None
-        return metric.as_dict() if isinstance(metric, Timer) else metric.value
-
-    def _mirror(self, name: str, value: Any) -> None:
-        if self.sink is not None and hasattr(self.sink, name):
-            setattr(self.sink, name, value)
-
-    def as_dict(self) -> dict[str, Any]:
-        """All metric values, timers expanded to their aggregates."""
-        with self._lock:
-            return {
-                name: (m.as_dict() if isinstance(m, Timer) else m.value)
-                for name, m in sorted(self._metrics.items())
-            }
 
 
 # -- derived busy/idle timelines ------------------------------------------------

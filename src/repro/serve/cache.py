@@ -28,11 +28,12 @@ from repro.serve.jobs import JobOutcome, SERVED_STATES
 class VerifiedResultCache:
     """LRU fingerprint -> outcome cache with certificate-gated inserts."""
 
-    def __init__(self, capacity: int = 128, metrics: Any = None) -> None:
+    def __init__(self, capacity: int = 128, stats: Any = None) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.metrics = metrics
+        # the daemon's ServeStatistics (None: uncounted)
+        self.stats = stats
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -42,8 +43,8 @@ class VerifiedResultCache:
         return fingerprint in self._entries
 
     def _inc(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name)
+        if self.stats is not None:
+            self.stats.bump(name)
 
     def lookup(self, fingerprint: str) -> JobOutcome | None:
         """Serve a cached outcome (a fresh copy flagged ``from_cache``)."""

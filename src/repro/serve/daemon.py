@@ -33,7 +33,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counters, Timer
 from repro.obs.trace import Tracer
 from repro.serve import runner
 from repro.serve.cache import VerifiedResultCache
@@ -59,10 +59,15 @@ from repro.serve.journal import (
 from repro.serve.scheduler import FairShareScheduler, TenantQuota
 from repro.utils.budget import Budget
 
+#: hard cap on any request's deadline, seconds (bounds client input)
+MAX_DEADLINE = 600.0
+#: how often a progress stream polls its job's tracer, seconds
+STREAM_POLL = 0.05
+
 
 @dataclass
-class ServeStatistics:
-    """Counters/gauges of one daemon life (MetricsRegistry sink)."""
+class ServeStatistics(Counters):
+    """Counters and peaks of one daemon life."""
 
     jobs_submitted: int = 0
     jobs_accepted: int = 0
@@ -99,28 +104,20 @@ class ServeConfig:
     slots: int = 4  # total worker slots shared by all running jobs
     max_queue_depth: int = 64
     default_deadline: float = 30.0  # granted when a request names none
-    max_deadline: float = 600.0  # hard cap on any request's deadline
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
-    cache_capacity: int = 128
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is daemon.port after start()
-    trace_capacity: int = 4096
-    verify_tol: float = 1e-6
-    scheduler_quantum: float = 1.0
-    stream_poll: float = 0.05
     clock: Callable[[], float] = time.monotonic  # injectable (Budget seam)
     journal_fsync: bool = True
-    warm_pool: bool = True  # pre-warm process workers when engine="process"
 
     def __post_init__(self) -> None:
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        for name in ("default_deadline", "max_deadline", "scheduler_quantum", "stream_poll"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"ServeConfig.{name} must be positive")
+        if not self.default_deadline > 0:
+            raise ValueError("ServeConfig.default_deadline must be positive")
         if self.engine not in ("sim", "threads", "process", "loopback"):
             raise ValueError(f"unknown engine {self.engine!r}")
 
@@ -131,15 +128,14 @@ class ServeDaemon:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.stats = ServeStatistics()
-        self.metrics = MetricsRegistry(sink=self.stats)
+        self.job_seconds = Timer()  # start-to-finish wall time of every finished job
         self.scheduler = FairShareScheduler(
             max_queue_depth=config.max_queue_depth,
             default_quota=config.default_quota,
             quotas=config.quotas,
-            quantum=config.scheduler_quantum,
             clock=config.clock,
         )
-        self.cache = VerifiedResultCache(capacity=config.cache_capacity, metrics=self.metrics)
+        self.cache = VerifiedResultCache(stats=self.stats)
         self.jobs: dict[str, JobRecord] = {}
         self._instances: dict[str, Any] = {}
         self._slots_used = 0
@@ -152,7 +148,7 @@ class ServeDaemon:
         # -- crash recovery: replay the journal before accepting anything
         replay = replay_journal(config.journal_path)
         if replay.torn_bytes:
-            self.metrics.inc("journal_torn_bytes", replay.torn_bytes)
+            self.stats.journal_torn_bytes = replay.torn_bytes
         self._recovered = reduce_journal(replay.records)
         self.journal = JobJournal(config.journal_path, fsync=config.journal_fsync)
         self._requeue_recovered()
@@ -186,7 +182,7 @@ class ServeDaemon:
             # accepted work is never re-admitted — a shrunken queue bound
             # on the restarted daemon must not strand journaled jobs
             self.scheduler.force_enqueue(record)
-            self.metrics.inc("jobs_requeued")
+            self.stats.bump("jobs_requeued")
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -194,7 +190,7 @@ class ServeDaemon:
         """Bind the TCP endpoint and start the scheduler loop."""
         self._kick = asyncio.Event()
         self._stopped = asyncio.Event()
-        if self.config.engine == "process" and self.config.warm_pool:
+        if self.config.engine == "process":
             from repro.ug.net.process_engine import warm_pool
 
             await asyncio.to_thread(warm_pool, self.config.slots)
@@ -256,12 +252,12 @@ class ServeDaemon:
 
     def submit(self, request_json: dict[str, Any]) -> dict[str, Any]:
         """Admit one job (or serve it from cache).  Raises typed errors."""
-        self.metrics.inc("jobs_submitted")
+        self.stats.bump("jobs_submitted")
         try:
             request = JobRequest.from_json(request_json)
             instance = runner.build_instance(request)
         except InvalidJobError:
-            self.metrics.inc("jobs_rejected_invalid")
+            self.stats.bump("jobs_rejected_invalid")
             raise
         fingerprint, labeling = runner.instance_cache_key(request.kind, instance)
         job_id = uuid.uuid4().hex[:12]
@@ -291,7 +287,7 @@ class ServeDaemon:
             self.scheduler.submit(record, slots=self.config.slots)
         except AdmissionError as exc:
             code = getattr(exc, "code", "admission_rejected")
-            self.metrics.inc(
+            self.stats.bump(
                 "jobs_rejected_queue_full" if code == "queue_full" else "jobs_rejected_quota"
             )
             raise
@@ -299,8 +295,8 @@ class ServeDaemon:
         self.journal.append(EV_SUBMITTED, job_id, {"request": request.to_json()})
         self.jobs[job_id] = record
         self._instances[job_id] = instance
-        self.metrics.inc("jobs_accepted")
-        self.metrics.maximize("peak_queue_depth", self.scheduler.depth)
+        self.stats.bump("jobs_accepted")
+        self.stats.peak("peak_queue_depth", self.scheduler.depth)
         if self._kick is not None:
             self._kick.set()
         return record.public_view()
@@ -321,13 +317,13 @@ class ServeDaemon:
         if not (isinstance(sol, dict) and "stp_canonical" in sol):
             return cached  # structural-fingerprint entry: ids are literal
         if labeling is None:
-            self.metrics.inc("cache_translation_failed")
+            self.stats.bump("cache_translation_failed")
             return None
         edges = runner.stp_solution_from_canonical(
             instance, labeling, sol["stp_canonical"]
         )
         if edges is None:
-            self.metrics.inc("cache_translation_failed")
+            self.stats.bump("cache_translation_failed")
             return None
         cached.solution = edges
         return cached
@@ -346,12 +342,12 @@ class ServeDaemon:
                 if job is None:
                     break
                 self._slots_used += job.cost
-                self.metrics.maximize("peak_running_slots", self._slots_used)
+                self.stats.peak("peak_running_slots", self._slots_used)
                 self._spawn(self._run_job(job), name=f"job-{job.job_id}")
 
     def _effective_deadline(self, request: JobRequest) -> float:
         deadline = request.deadline if request.deadline is not None else self.config.default_deadline
-        return min(deadline, self.config.max_deadline)
+        return min(deadline, MAX_DEADLINE)
 
     def _solve(self, record: JobRecord, budget: Budget) -> Any:
         """Blocking solve on a worker thread (monkeypatchable test seam)."""
@@ -365,14 +361,13 @@ class ServeDaemon:
             engine=self.config.engine,
             deadline=budget.remaining_time(),
             tracer=record.tracer,
-            trace_capacity=self.config.trace_capacity,
         )
 
     async def _run_job(self, record: JobRecord) -> None:
         record.state = JobState.RUNNING
         record.attempts += 1
         record.started_at = self.config.clock()
-        record.tracer = Tracer(enabled=True, capacity=self.config.trace_capacity)
+        record.tracer = Tracer(enabled=True, capacity=runner.TRACE_CAPACITY)
         self.journal.append(EV_STARTED, record.job_id, {"attempt": record.attempts})
         budget = Budget(
             time_limit=self._effective_deadline(record.request), clock=self.config.clock
@@ -397,12 +392,10 @@ class ServeDaemon:
                 )
             else:
                 instance = self._instances.get(record.job_id)
-                outcome, report = runner.outcome_from_result(
-                    record.request, instance, result, tol=self.config.verify_tol
-                )
+                outcome, report = runner.outcome_from_result(record.request, instance, result)
                 outcome.attempts = record.attempts
                 if report is not None and not report.ok:
-                    self.metrics.inc("verify_refusals")
+                    self.stats.bump("verify_refusals")
         self._finish(record, outcome)
 
     def _finish(self, record: JobRecord, outcome: JobOutcome) -> None:
@@ -412,7 +405,7 @@ class ServeDaemon:
         record.state = outcome.state
         record.finished_at = self.config.clock()
         duration = (record.finished_at or 0.0) - (record.started_at or 0.0)
-        self.metrics.timer("job_seconds").observe(max(0.0, duration))
+        self.job_seconds.observe(max(0.0, duration))
         self._count_terminal(outcome.state)
         if outcome.certified and outcome.solution is not None:
             instance = self._instances.get(record.job_id)
@@ -442,7 +435,6 @@ class ServeDaemon:
                         outcome.objective,
                         outcome.bound,
                         solved=outcome.solved,
-                        tol=self.config.verify_tol,
                         gap_slack=record.request.objective_epsilon or 0.0,
                     ),
                 )
@@ -460,7 +452,7 @@ class ServeDaemon:
             JobState.CANCELLED: "jobs_cancelled",
         }.get(state)
         if name:
-            self.metrics.inc(name)
+            self.stats.bump(name)
 
     # -- queries ----------------------------------------------------------------
 
@@ -509,7 +501,7 @@ class ServeDaemon:
             "queue_depth": self.scheduler.depth,
             "jobs": len(self.jobs),
             "cache_size": len(self.cache),
-            "job_seconds": self.metrics.value("job_seconds"),
+            "job_seconds": self.job_seconds.as_dict() if self.job_seconds.count else None,
         }
 
     # -- wire protocol ----------------------------------------------------------
@@ -585,7 +577,7 @@ class ServeDaemon:
                 missed_total += missed
                 for ev in events:
                     await self._send(writer, {"event": ev.to_json()})
-                    self.metrics.inc("stream_events_sent")
+                    self.stats.bump("stream_events_sent")
             if record.terminal:
                 tail = record.tracer
                 if tail is not None:
@@ -593,12 +585,12 @@ class ServeDaemon:
                     missed_total += missed
                     for ev in events:
                         await self._send(writer, {"event": ev.to_json()})
-                        self.metrics.inc("stream_events_sent")
+                        self.stats.bump("stream_events_sent")
                 view = record.public_view()
                 view.update({"stream_end": True, "missed": missed_total})
                 await self._send(writer, view)
                 return
-            await asyncio.sleep(self.config.stream_poll)
+            await asyncio.sleep(STREAM_POLL)
 
 
 # -- embedding helper -----------------------------------------------------------

@@ -172,6 +172,12 @@ class JobRequest:
             raise InvalidJobError(f"node_limit must be >= 1, got {self.node_limit}")
         if self.virtual_time_limit is not None and not self.virtual_time_limit > 0:
             raise InvalidJobError("virtual_time_limit must be positive")
+        # json.loads accepts NaN/Infinity; a NaN epsilon silences every
+        # solution report, so it must not reach the engine
+        if self.objective_epsilon is not None and not 0 <= self.objective_epsilon < math.inf:
+            raise InvalidJobError(
+                f"objective_epsilon must be finite and non-negative, got {self.objective_epsilon}"
+            )
 
     def to_json(self) -> dict[str, Any]:
         return {

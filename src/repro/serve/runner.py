@@ -250,17 +250,23 @@ def _enc(x: float) -> float | str:
 
 # -- solving --------------------------------------------------------------------
 
+#: trace ring of one job's run: the live progress stream and the tree audits
+TRACE_CAPACITY = 4096
 
-def build_config(request: JobRequest, trace_capacity: int = 4096) -> UGConfig:
-    """The UGConfig for one job: tracing on (streams + audits), limits set."""
-    cfg = UGConfig(trace_enabled=True, trace_capacity=trace_capacity)
-    if request.objective_epsilon is not None:
-        cfg.objective_epsilon = request.objective_epsilon
-    if request.node_limit is not None:
-        cfg.node_limit = request.node_limit
-    if request.virtual_time_limit is not None:
-        cfg.time_limit = request.virtual_time_limit
-    return cfg
+
+def build_config(request: JobRequest) -> UGConfig:
+    """The UGConfig for one job: tracing on (streams + audits), limits set
+    at construction so UGConfig validates them."""
+    limits = {
+        "objective_epsilon": request.objective_epsilon,
+        "node_limit": request.node_limit,
+        "time_limit": request.virtual_time_limit,
+    }
+    return UGConfig(
+        trace_enabled=True,
+        trace_capacity=TRACE_CAPACITY,
+        **{name: value for name, value in limits.items() if value is not None},
+    )
 
 
 def solve_job(
@@ -270,7 +276,6 @@ def solve_job(
     engine: str = "sim",
     deadline: float | None = None,
     tracer: Tracer | None = None,
-    trace_capacity: int = 4096,
 ) -> UGResult:
     """Run the ug[...] solve for one job (blocking; call from a worker).
 
@@ -293,7 +298,7 @@ def solve_job(
         plugins,
         n_solvers=request.n_solvers,
         comm=engine,
-        config=build_config(request, trace_capacity),
+        config=build_config(request),
         seed=request.seed,
         wall_clock_limit=math.inf if deadline is None else max(0.05, deadline),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,12 +27,6 @@ class UGConfig:
     racing_deadline: float = 0.5
     racing_open_node_threshold: int = 50
 
-    # dynamic load balancing (Algorithm 1's collect mode)
-    pool_buffer: int = 1  # want at least n_idle + buffer heavy nodes pooled
-    pool_high_watermark_factor: float = 2.0
-    max_collectors: int = 4
-    min_open_to_shed: int = 4  # a collecting solver keeps this many nodes
-
     # bound pruning: a node with dual_bound >= incumbent - objective_epsilon
     # is discarded; set to 1 - 1e-6 for integral-objective instances
     objective_epsilon: float = 1e-9
@@ -42,9 +37,6 @@ class UGConfig:
     # checkpointing
     checkpoint_path: str | None = None
     checkpoint_interval: float = 5.0
-    # rotating .bak copies kept next to the checkpoint (cp.json.bak1 is the
-    # newest backup); load_checkpoint falls back to them on corruption
-    checkpoint_retain: int = 2
 
     # limits
     time_limit: float = float("inf")
@@ -57,17 +49,6 @@ class UGConfig:
     # frame carrier for the ProcessEngine: "pipe" (multiprocessing.Pipe,
     # default) or "tcp" (sockets + rank/token hello handshake)
     net_transport: str = "pipe"
-    # parent/child receive-poll granularity, seconds of real time
-    net_poll_interval: float = 0.02
-    # TCP dial-in: per-attempt connect timeout and retry budget
-    net_connect_timeout: float = 5.0
-    net_connect_retries: int = 5
-    # bounded outbound frame queue (TCP); a full queue blocks the sender
-    # (backpressure) instead of growing without limit
-    net_outbound_queue: int = 1024
-    # how long the parent waits for children to honor TERMINATION before
-    # reaping them forcefully
-    net_shutdown_grace: float = 10.0
     # wire-path coalescing: a collecting ParaSolver sheds up to this many
     # open nodes per step into ONE NODE_TRANSFER (1 = classic single-node
     # shedding, bit-identical to the pre-batching protocol)
@@ -96,9 +77,6 @@ class UGConfig:
     # a reclaimed node is retried at most this many times before the run
     # gives up on it (and stops claiming a proven optimum)
     max_node_retries: int = 3
-    # bounded retry for transient CommErrors on sends (0 disables the wrapper)
-    send_retries: int = 3
-    send_backoff: float = 0.01  # seconds, doubled per retry (wall-clock engines only)
     # deterministic failure schedule executed by the engines (tests/chaos runs)
     fault_plan: FaultPlan | None = None
 
@@ -120,9 +98,6 @@ class UGConfig:
             "checkpoint_interval",
             "time_limit",
             "latency",
-            "net_poll_interval",
-            "net_connect_timeout",
-            "net_shutdown_grace",
             "heartbeat_timeout",
             "drain_grace",
         ):
@@ -132,26 +107,23 @@ class UGConfig:
         for name in (
             "racing_open_node_threshold",
             "node_limit",
-            "net_outbound_queue",
             "net_batch_nodes",
             "trace_capacity",
         ):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"UGConfig.{name} must be at least 1, got {value!r}")
-        for name in (
-            "pool_buffer",
-            "max_collectors",
-            "net_connect_retries",
-            "net_incumbent_debounce",
-            "max_node_retries",
-            "send_retries",
-            "send_backoff",
-            "checkpoint_retain",
-        ):
+        for name in ("net_incumbent_debounce", "max_node_retries"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"UGConfig.{name} must be non-negative, got {value!r}")
+        # a NaN epsilon makes every ``value < best - eps`` false, so no
+        # solution is ever reported; an infinite one prunes everything
+        if not 0 <= self.objective_epsilon < math.inf:
+            raise ValueError(
+                f"UGConfig.objective_epsilon must be finite and non-negative, "
+                f"got {self.objective_epsilon!r}"
+            )
         if self.net_transport not in ("pipe", "tcp"):
             raise ValueError(
                 f"UGConfig.net_transport must be 'pipe' or 'tcp', got {self.net_transport!r}"

@@ -30,6 +30,16 @@ from repro.ug.user_plugins import UserPlugins
 #: hands a routed message to the transport: (message, send time, extra delay)
 DeliverFn = Callable[[Message, float, float], None]
 
+#: receive-poll granularity of the wall-clock loops, seconds of real time
+POLL_INTERVAL = 0.02
+#: how long the coordinator waits for ranks to honor TERMINATION before
+#: reaping them forcefully
+SHUTDOWN_GRACE = 10.0
+#: bounded retry of transient CommErrors on sends; the backoff (seconds,
+#: doubled per retry) sleeps only under a wall clock
+SEND_RETRIES = 3
+SEND_BACKOFF = 0.01
+
 
 def build_para_solver(
     rank: int,
@@ -48,7 +58,6 @@ def build_para_solver(
         params,
         seed,
         status_interval_work=config.status_interval_work,
-        min_open_to_shed=config.min_open_to_shed,
         objective_epsilon=config.objective_epsilon,
         transfer_batch=config.net_batch_nodes,
     )
@@ -64,10 +73,9 @@ class MessageRouter:
     ``deliver`` callback with its send time and injected extra delay.
     """
 
-    def __init__(self, injector: FaultInjector, tracer: Tracer, config: UGConfig) -> None:
+    def __init__(self, injector: FaultInjector, tracer: Tracer) -> None:
         self.injector = injector
         self.tracer = tracer
-        self.config = config
 
     def sender(
         self,
@@ -96,14 +104,11 @@ class MessageRouter:
                 tracer.emit(now, "send", src, dst=dst, tag=tag.value, action=action, delay=extra_delay)
             deliver(msg, now, extra_delay)
 
-        config = self.config
-        if config.send_retries <= 0:
-            return send
         # virtual time retries immediately: determinism preserved
         return RetryingSend(
             send,
-            retries=config.send_retries,
-            backoff=config.send_backoff if real_time else 0.0,
+            retries=SEND_RETRIES,
+            backoff=SEND_BACKOFF if real_time else 0.0,
             sleep=time.sleep if real_time else None,
             injector=injector,
         )
@@ -153,7 +158,7 @@ def rank_loop(
     vanish like a killed worker, not leave.  Raises
     :class:`TransportClosedError` when the coordinator is gone.
     """
-    config, injector, tracer = router.config, router.injector, router.tracer
+    injector, tracer = router.injector, router.tracer
     rank = solver.rank
     busy_wall = 0.0
     late = LateShipper()
@@ -180,13 +185,12 @@ def rank_loop(
         if not channel.flush() and channel.closed:
             raise TransportClosedError("coordinator is gone")
 
-    poll = max(config.net_poll_interval, 1e-4)
     try:
         while solver.state != "terminated":
             if injector.maybe_crash(rank, clock(), solver.nodes_processed_total):
                 tracer.emit(clock(), "crash", rank, nodes=solver.nodes_processed_total)
                 return False  # die abruptly, exactly like a kill
-            msg = channel.recv(0.0 if solver.is_busy else poll)
+            msg = channel.recv(0.0 if solver.is_busy else POLL_INTERVAL)
             if msg is None and not solver.is_busy:
                 continue  # still waiting for work
             # busy wall-clock covers the whole working burst — message
@@ -242,7 +246,7 @@ class EngineCore:
         self.tracer = lc.tracer = tracer
         for solver in solvers.values():
             solver.tracer = tracer
-        self.router = MessageRouter(self.injector, tracer, config)
+        self.router = MessageRouter(self.injector, tracer)
         # per-run message sequence numbers of everything this process
         # sends: (src, seq) identifies a message within the run
         self._msg_seq = SeqStamper()
@@ -270,7 +274,7 @@ class EngineCore:
         self._born[rank] = now
 
     def _channel(self, transport: Transport, local_rank: int, remote_rank: int) -> MessageChannel:
-        """A wire endpoint in this process, on the run's injector, metrics,
+        """A wire endpoint in this process, on the run's injector, counters,
         tracer and clock."""
         return MessageChannel(
             transport,
@@ -278,7 +282,7 @@ class EngineCore:
             remote_rank=remote_rank,
             stamper=self._msg_seq,
             injector=self.injector,
-            metrics=self.lc.metrics,
+            stats=self.lc.stats,
             tracer=self.tracer,
             clock=self._now,
         )
@@ -360,7 +364,7 @@ class EngineCore:
                     return
                 rank = self._join_rank(now, None)
                 if rank is not None:
-                    lc.metrics.inc("ranks_restarted")
+                    lc.stats.bump("ranks_restarted")
                     self.watchdog.bind(rank, root)
                     self.tracer.emit(now, "rank_restart", rank, root=root)
 
@@ -385,7 +389,7 @@ class EngineCore:
         # fsum: n equal spans must add up to exactly span * n
         total = math.fsum(alive.values())
         busy = sum(min(b, alive.get(r, span)) for r, b in self._busy.items())
-        lc.metrics.set("idle_ratio", max(0.0, 1.0 - busy / total) if total > 0 else 0.0)
+        lc.stats.idle_ratio = max(0.0, 1.0 - busy / total) if total > 0 else 0.0
 
 
 class WallClockEngine(EngineCore):
@@ -526,7 +530,6 @@ class WallClockEngine(EngineCore):
         self._wall_start = time.perf_counter()
         self._launch()
         lc.start(send, 0.0)
-        poll = max(self.config.net_poll_interval, 1e-4)
         last_death_poll = 0.0
         while not lc.finished:
             now = self._now()
@@ -544,12 +547,12 @@ class WallClockEngine(EngineCore):
             # death checks cost a waitpid per rank — poll-interval cadence
             # is plenty (a dead rank's channel also trips TransportClosedError)
             now = self._now()
-            if now - last_death_poll >= poll or not progressed:
+            if now - last_death_poll >= POLL_INTERVAL or not progressed:
                 self._poll_deaths()
                 last_death_poll = now
             lc.on_tick(send, self._now())
             if not progressed:
-                self._wait_readable(poll)
+                self._wait_readable(POLL_INTERVAL)
         self._shutdown()
         self._finish_accounting(self._now())
 
@@ -557,7 +560,7 @@ class WallClockEngine(EngineCore):
         """Cancel pending delay timers, reap the workers inside the grace
         period, then close every channel."""
         self._late.cancel()
-        self._reap(time.monotonic() + self.config.net_shutdown_grace)
+        self._reap(time.monotonic() + SHUTDOWN_GRACE)
         for channel in self.channels.values():
             if not channel.closed:
                 channel.close()

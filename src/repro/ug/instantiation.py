@@ -137,7 +137,7 @@ class UGSolver:
             initial_incumbent=initial_incumbent,
         )
         if recovered_from_backup:
-            lc.stats.checkpoints_recovered += 1
+            lc.stats.bump("checkpoints_recovered")
         if restart_from is not None:
             # shape-changing restart support: the checkpoint may have been
             # written at a different rank count — audit that the restored
@@ -147,7 +147,7 @@ class UGSolver:
             audit_restart_coverage(cp, lc.restored_nodes).raise_if_failed()
             saved_ranks = cp.meta.get("n_ranks")
             if saved_ranks is not None and int(saved_ranks) != self.n_solvers:
-                lc.metrics.inc("shape_restarts")
+                lc.stats.bump("shape_restarts")
         solvers = {
             rank: build_para_solver(
                 rank, lc.instance, self.user_plugins, self.params, self.seed, self.config
@@ -161,7 +161,7 @@ class UGSolver:
         engine.wall_clock_limit = self.wall_clock_limit
         engine.run()
         if engine.tracer is not None and engine.tracer.dropped:
-            lc.metrics.set("trace_events_dropped", engine.tracer.dropped)
+            lc.stats.trace_events_dropped = engine.tracer.dropped
 
         solved = (
             lc.incumbent is not None

@@ -26,7 +26,6 @@ import time
 from typing import Any, Callable
 
 from repro.cip.params import ParamSet
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.ug.checkpoint import save_checkpoint
 from repro.ug.config import UGConfig
@@ -37,6 +36,16 @@ from repro.ug.statistics import UGStatistics
 from repro.ug.user_plugins import UserPlugins
 
 SendFn = Callable[[int, MessageTag, Any], None]
+
+# collect mode (Algorithm 1): start collecting while fewer than
+# n_idle + POOL_BUFFER nodes are pooled, from at most MAX_COLLECTORS
+# solvers, and stop at POOL_HIGH_WATERMARK_FACTOR times that target
+POOL_BUFFER = 1
+POOL_HIGH_WATERMARK_FACTOR = 2.0
+MAX_COLLECTORS = 4
+# rotating .bak copies kept next to the checkpoint (cp.json.bak1 is the
+# newest backup); load_checkpoint falls back to them on corruption
+CHECKPOINT_RETAIN = 2
 
 
 class LoadCoordinator:
@@ -77,11 +86,7 @@ class LoadCoordinator:
         self.collecting: set[int] = set()
         self.incumbent: ParaSolution | None = initial_incumbent
         self.finished = False
-        self.stats = UGStatistics(n_solvers=n_solvers)
-        # the registry is the single mutation pathway for the run
-        # statistics; every update write-throughs onto self.stats so
-        # mid-run readers (checkpoints, tests) always see a live snapshot
-        self.metrics = MetricsRegistry(sink=self.stats)
+        self.stats = UGStatistics(n_solvers=n_solvers, peak_ranks=n_solvers)
         # engine-attached telemetry sink (NULL_TRACER outside engines)
         self.tracer = NULL_TRACER
         self._trace_now = 0.0
@@ -122,7 +127,6 @@ class LoadCoordinator:
         self.restored_nodes: tuple[ParaNode, ...] = tuple(
             ParaNode.from_json(n.to_json()) for n in self._restart_pool
         )
-        self.metrics.set("peak_ranks", n_solvers)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -158,7 +162,7 @@ class LoadCoordinator:
                 )
             self.idle.clear()
             self._record_active(now)
-            self.metrics.inc("transferred_nodes", self.n_solvers)
+            self.stats.bump("transferred_nodes", self.n_solvers)
         else:
             root.lc_id = next(self._lc_ids)
             self._push_pool(root)
@@ -198,7 +202,7 @@ class LoadCoordinator:
                 MessageTag.SUBPROBLEM,
                 {"node": node, "incumbent": self._incumbent_value(), "settings": self._solver_params(rank)},
             )
-            self.metrics.inc("transferred_nodes")
+            self.stats.bump("transferred_nodes")
         self._record_active(now)
         self._update_collecting(send)
         self._check_termination(send, now)
@@ -211,8 +215,8 @@ class LoadCoordinator:
         return self.params.with_changes(permutation_seed=self.params.permutation_seed + rank)
 
     def _record_active(self, now: float) -> None:
-        if self.metrics.maximize("max_active_solvers", len(self.active)):
-            self.metrics.set("first_max_active_time", now)
+        if self.stats.peak("max_active_solvers", len(self.active)):
+            self.stats.first_max_active_time = now
 
     # -- collect mode (heavy-subproblem management) ------------------------------
 
@@ -224,8 +228,8 @@ class LoadCoordinator:
             if self.collecting:
                 self._stop_collecting(send)
             return
-        want = len(self.idle) + self.config.pool_buffer
-        high = int(want * self.config.pool_high_watermark_factor)
+        want = len(self.idle) + POOL_BUFFER
+        high = int(want * POOL_HIGH_WATERMARK_FACTOR)
         if self.collecting and len(self._pool) >= max(high, 1):
             self._stop_collecting(send)
         elif not self.collecting and len(self._pool) < want and self.active:
@@ -237,9 +241,8 @@ class LoadCoordinator:
             candidates = sorted(
                 (r for r in self.active if r not in self.draining), key=lambda r: -open_count(r)
             )
-            for rank in candidates[: self.config.max_collectors]:
+            for rank in candidates[:MAX_COLLECTORS]:
                 self.tracer.emit(self._trace_now, "collect_start", rank, pool=len(self._pool))
-                self.metrics.inc("collect_toggles")
                 send(rank, MessageTag.START_COLLECTING, None)
                 self.collecting.add(rank)
 
@@ -299,7 +302,7 @@ class LoadCoordinator:
             self._nodes_processed[rank] = payload.get("nodes_processed", 0)
             self._solver_dual[rank] = payload.get("dual_bound", -math.inf)
             if not self._root_reported and "first_step_work" in payload:
-                self.metrics.set("root_time", payload["first_step_work"])
+                self.stats.root_time = payload["first_step_work"]
                 self._root_reported = True
             if self._racing:
                 self._maybe_finish_racing(send, now)
@@ -313,13 +316,13 @@ class LoadCoordinator:
                 if payload.get("numerical"):
                     # the kernel degraded (NUMERICAL_ERROR) rather than
                     # crashed: same containment, separate accounting
-                    self.metrics.inc("numerical_failures")
+                    self.stats.bump("numerical_failures")
                     self.tracer.emit(
                         now, "numerical_failure_contained", rank,
                         dual=payload.get("dual_bound", -math.inf),
                     )
                 else:
-                    self.metrics.inc("step_failures")
+                    self.stats.bump("step_failures")
                     self.tracer.emit(now, "step_failure_contained", rank)
                 if "nodes_processed" in payload:
                     self._nodes_processed[rank] = payload["nodes_processed"]
@@ -332,10 +335,8 @@ class LoadCoordinator:
                     self.active.pop(rank, None)
                     self._terminated_racers.add(rank)
                     self.idle.add(rank)
-                    if not [r for r in self.active if r not in self._terminated_racers]:
-                        self._racing = False
-                        self._forfeit_racing_root()
-                        self._broadcast_termination(send, now)
+                    if not self._racers_left():
+                        self._end_without_racers(send, now)
                     return
                 self._reclaim_active_node(rank)
                 self.idle.add(rank)
@@ -356,9 +357,9 @@ class LoadCoordinator:
                 self._nodes_processed[rank] = payload["nodes_processed"]
             if self._racing:
                 # a racer finished the whole instance during the race
-                self.metrics.set("solved_in_racing", True)
+                self.stats.solved_in_racing = True
                 self._racing = False
-                self.metrics.set("racing_winner", None)
+                self.stats.racing_winner = None
                 self.tracer.emit(now, "solved_in_racing", rank)
                 self._broadcast_termination(send, now)
                 return
@@ -373,7 +374,6 @@ class LoadCoordinator:
             self.stats.primal_initial = sol.value
         self.incumbent = sol
         self.stats.primal_final = sol.value
-        self.metrics.inc("solutions_accepted")
         self.tracer.emit(self._trace_now, "incumbent", 0, value=sol.value)
         # share the bound with every busy solver — debounced: improvements
         # landing inside net_incumbent_debounce of the last broadcast are
@@ -386,7 +386,7 @@ class LoadCoordinator:
             self._broadcast_incumbent(send)
         else:
             self._pending_incumbent = True
-            self.metrics.inc("incumbent_broadcasts_deferred")
+            self.stats.bump("incumbent_broadcasts_deferred")
         # prune the pool
         eps = self.config.objective_epsilon
         kept = [(b, s, n) for b, s, n in self._pool if n.dual_bound < sol.value - eps]
@@ -426,8 +426,8 @@ class LoadCoordinator:
 
         winner = max(contenders, key=key)
         self._racing = False
-        self.metrics.set("racing_winner", self._settings_of_rank.get(winner))
-        self.metrics.set("racing_time", now)
+        self.stats.racing_winner = self._settings_of_rank.get(winner)
+        self.stats.racing_time = now
         winner_node = self.active[winner]
         self.tracer.emit(
             now,
@@ -478,8 +478,8 @@ class LoadCoordinator:
         self.ranks.add(rank)
         self.idle.add(rank)
         self._last_heartbeat[rank] = now
-        self.metrics.inc("ranks_joined")
-        self.metrics.maximize("peak_ranks", len(self.live_solvers()))
+        self.stats.bump("ranks_joined")
+        self.stats.peak("peak_ranks", len(self.live_solvers()))
         self.tracer.emit(now, "rank_join", rank, live=len(self.live_solvers()))
         send(
             rank,
@@ -507,7 +507,7 @@ class LoadCoordinator:
         # no new work for a leaving rank
         self.idle.discard(rank)
         self.collecting.discard(rank)
-        self.metrics.inc("drains_requested")
+        self.stats.bump("drains_requested")
         self.tracer.emit(now, "drain_request", rank, active=rank in self.active)
         send(rank, MessageTag.DRAIN, None)
 
@@ -533,35 +533,21 @@ class LoadCoordinator:
             ):
                 node.origin_rank = rank
                 self._push_pool(node, renumber=True)
-                self.metrics.inc("nodes_returned")
+                self.stats.bump("nodes_returned")
                 requeued = True
         self.ranks.discard(rank)
         self.departed.add(rank)
-        self.draining.discard(rank)
-        self._drain_requested.pop(rank, None)
-        self.idle.discard(rank)
-        self.collecting.discard(rank)
-        self._last_status.pop(rank, None)
-        self._solver_dual.pop(rank, None)
-        self._last_heartbeat.pop(rank, None)
-        self._terminated_racers.discard(rank)
-        self.metrics.inc("ranks_drained")
+        self._forget_rank(rank)
+        self.stats.bump("ranks_drained")
         self.tracer.emit(now, "rank_drained", rank, requeued=requeued, live=len(self.live_solvers()))
         if not self.live_solvers():
             # the whole fleet left — nobody to feed; stop (honestly: a
             # non-empty pool keeps the run from claiming completeness)
-            if self._racing:
-                self._racing = False
-                self._forfeit_racing_root()
-            self._broadcast_termination(send, now)
+            self._end_without_racers(send, now)
             return
         if self._racing:
-            if was_contender and not [
-                r for r in self.active if r not in self._terminated_racers
-            ]:
-                self._racing = False
-                self._forfeit_racing_root()
-                self._broadcast_termination(send, now)
+            if was_contender and not self._racers_left():
+                self._end_without_racers(send, now)
             return
         self._assign(send, now)
 
@@ -571,25 +557,39 @@ class LoadCoordinator:
             return
         for rank in sorted(self.draining):
             if now - self._drain_requested.get(rank, now) > self.config.drain_grace:
-                self.draining.discard(rank)
-                self._drain_requested.pop(rank, None)
-                self.metrics.inc("drain_timeouts")
+                self.stats.bump("drain_timeouts")
                 self.tracer.emit(now, "drain_timeout", rank)
                 self._mark_dead(rank, send, now)
                 if self.finished:
                     return
 
-    def _forfeit_racing_root(self) -> None:
-        """No contender will ever finish exploring the racing root.
+    def _racers_left(self) -> bool:
+        return any(r not in self._terminated_racers for r in self.active)
 
-        Unless a racer already solved the whole instance, completeness is
-        gone: the root subproblem was never fully explored by any survivor,
-        so the optimality claim and the global dual bound are surrendered.
+    def _end_without_racers(self, send: SendFn, now: float) -> None:
+        """No racer (or no rank at all) is left to work: end the run.
+
+        A race still running is lost with it: the racing root was never
+        fully explored by any survivor, so the optimality claim and the
+        global dual bound are surrendered.  (A racer that solved the whole
+        instance has already ended the race.)
         """
-        if self.stats.solved_in_racing:
-            return
-        self._lost_subtrees = True
-        self._lost_dual = min(self._lost_dual, self._racing_root_dual)
+        if self._racing:
+            self._racing = False
+            self._lost_subtrees = True
+            self._lost_dual = min(self._lost_dual, self._racing_root_dual)
+        self._broadcast_termination(send, now)
+
+    def _forget_rank(self, rank: int) -> None:
+        """Drop every per-rank record of a rank that left the run."""
+        self.idle.discard(rank)
+        self.collecting.discard(rank)
+        self.draining.discard(rank)
+        self._terminated_racers.discard(rank)
+        self._drain_requested.pop(rank, None)
+        self._last_status.pop(rank, None)
+        self._solver_dual.pop(rank, None)
+        self._last_heartbeat.pop(rank, None)
 
     def _reclaim_active_node(self, rank: int) -> None:
         """Pull ``rank``'s assigned node back into the pool (re-numbered)."""
@@ -606,11 +606,10 @@ class LoadCoordinator:
             # a poisonous subproblem: stop retrying, surrender completeness
             self._lost_subtrees = True
             self._lost_dual = min(self._lost_dual, node.dual_bound)
-            self.metrics.inc("nodes_abandoned")
             self.tracer.emit(self._trace_now, "abandon", rank, dual=node.dual_bound, attempts=node.attempts)
             return
         self._push_pool(node, renumber=True)
-        self.metrics.inc("nodes_reclaimed")
+        self.stats.bump("nodes_reclaimed")
         self.tracer.emit(self._trace_now, "reclaim", rank, lc_id=node.lc_id, attempts=node.attempts)
 
     def _mark_dead(self, rank: int, send: SendFn, now: float) -> None:
@@ -618,37 +617,24 @@ class LoadCoordinator:
         if rank in self.dead:
             return
         self.dead.add(rank)
-        self.metrics.inc("solver_failures")
+        self.stats.bump("solver_failures")
         self.tracer.emit(now, "solver_dead", rank, racing=self._racing)
-        was_racing = self._racing
-        if was_racing:
+        if self._racing:
             # racing roots are copies of the same subproblem — the surviving
             # racers still cover the whole tree, so nothing is reclaimed
             self.active.pop(rank, None)
         else:
             self._reclaim_active_node(rank)
-        self.idle.discard(rank)
-        self.collecting.discard(rank)
-        self.draining.discard(rank)
-        self._drain_requested.pop(rank, None)
-        self._last_status.pop(rank, None)
-        self._solver_dual.pop(rank, None)
-        self._last_heartbeat.pop(rank, None)
-        self._terminated_racers.discard(rank)
+        self._forget_rank(rank)
         if not self.live_solvers():
             # every solver is gone — nobody left to feed; stop gracefully
-            if was_racing:
-                self._forfeit_racing_root()
-            self._broadcast_termination(send, now)
+            self._end_without_racers(send, now)
             return
-        if was_racing:
+        if self._racing:
             # a dead racer leaves the contest; the race goes on among the
             # survivors (and ends immediately if none remain racing)
-            contenders = [r for r in self.active if r not in self._terminated_racers]
-            if not contenders:
-                self._racing = False
-                self._forfeit_racing_root()
-                self._broadcast_termination(send, now)
+            if not self._racers_left():
+                self._end_without_racers(send, now)
             return
         self._assign(send, now)
 
@@ -743,8 +729,7 @@ class LoadCoordinator:
 
     def _finalize_stats(self, now: float) -> None:
         s = self.stats
-        m = self.metrics
-        m.set("computing_time", now)
+        s.computing_time = now
         if self.incumbent is not None:
             s.primal_final = self.incumbent.value
         s.dual_final = self.global_dual_bound()
@@ -753,13 +738,11 @@ class LoadCoordinator:
         ) and not self._lost_subtrees
         if proven and self.incumbent is not None and not math.isinf(s.primal_final):
             s.dual_final = s.primal_final  # proven optimal
-        m.set(
-            "open_nodes_final",
-            len(self._pool)
-            + sum(int(self._last_status.get(r, {}).get("n_open", 0)) for r in self.active),
+        s.open_nodes_final = len(self._pool) + sum(
+            int(self._last_status.get(r, {}).get("n_open", 0)) for r in self.active
         )
-        m.set("nodes_generated", sum(self._nodes_processed.values()))
-        m.set("final_ranks", len(self.live_solvers()))
+        s.nodes_generated = sum(self._nodes_processed.values())
+        s.final_ranks = len(self.live_solvers())
 
     @property
     def proven_complete(self) -> bool:
@@ -806,16 +789,8 @@ class LoadCoordinator:
             "n_ranks": len(self.live_solvers()),
         }
         nodes = self.primitive_nodes()
-        with self.metrics.timer("checkpoint_write_seconds").time():
-            save_checkpoint(
-                path,
-                nodes,
-                self.incumbent,
-                self.stats,
-                meta=meta,
-                retain=self.config.checkpoint_retain,
-            )
-        self.metrics.inc("checkpoints_written")
+        save_checkpoint(path, nodes, self.incumbent, self.stats, meta=meta, retain=CHECKPOINT_RETAIN)
+        self.stats.bump("checkpoints_written")
         self.tracer.emit(self._trace_now, "checkpoint", 0, nodes=len(nodes))
         if self.fault_injector is not None:
             self.fault_injector.after_checkpoint_write(path)

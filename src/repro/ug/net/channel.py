@@ -7,7 +7,7 @@ stamped (per-run sequence), encoded, fault-injected at the frame seam
 :class:`~repro.ug.faults.FaultPlan`) and counted; receives are decoded
 with every malformed frame surfacing as a typed
 :class:`~repro.ug.net.codec.FrameDecodeError` that is traced and
-counted via ``repro.obs`` instead of crashing the engine.
+counted instead of crashing the engine.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class MessageChannel:
         remote_rank: int,
         stamper: SeqStamper | None = None,
         injector: Any = None,
-        metrics: Any = None,
+        stats: Any = None,
         tracer: Any = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
@@ -50,7 +50,8 @@ class MessageChannel:
         self.remote_rank = remote_rank
         self.stamper = stamper or SeqStamper()
         self.injector = injector
-        self.metrics = metrics
+        # the run's UGStatistics (None: per-channel counters only)
+        self.stats = stats
         self.tracer = tracer
         self.clock = clock or (lambda: 0.0)
         self.bytes_sent = 0
@@ -96,9 +97,9 @@ class MessageChannel:
         if len(msgs) == 1:
             return self.send_message(msgs[0])
         frame = encode_batch(msgs)
-        if self.metrics is not None:
-            self.metrics.inc("net_batches_sent")
-            self.metrics.inc("net_msgs_coalesced", len(msgs))
+        if self.stats is not None:
+            self.stats.bump("net_batches_sent")
+            self.stats.bump("net_msgs_coalesced", len(msgs))
         return self._ship_frame(frame, tag=f"batch[{len(msgs)}]", dst=msgs[0].dst)
 
     def send_message(self, msg: Message) -> bool:
@@ -122,9 +123,9 @@ class MessageChannel:
             return False
         self.frames_sent += 1
         self.bytes_sent += len(frame)
-        if self.metrics is not None:
-            self.metrics.inc("net_frames_sent")
-            self.metrics.inc("net_bytes_sent", len(frame))
+        if self.stats is not None:
+            self.stats.bump("net_frames_sent")
+            self.stats.bump("net_bytes_sent", len(frame))
         return True
 
     # -- receiving -------------------------------------------------------------
@@ -147,15 +148,15 @@ class MessageChannel:
                 return None
             self.frames_received += 1
             self.bytes_received += len(frame)
-            if self.metrics is not None:
-                self.metrics.inc("net_frames_received")
-                self.metrics.inc("net_bytes_received", len(frame))
+            if self.stats is not None:
+                self.stats.bump("net_frames_received")
+                self.stats.bump("net_bytes_received", len(frame))
             try:
                 msgs = decode_frame(frame)
             except FrameDecodeError as exc:
                 self.decode_errors += 1
-                if self.metrics is not None:
-                    self.metrics.inc("net_decode_errors")
+                if self.stats is not None:
+                    self.stats.bump("net_decode_errors")
                 self._trace("net_decode_error", error=type(exc).__name__, bytes=len(frame))
                 # skip the bad frame; anything already buffered behind it
                 # must come out on this same call

@@ -34,6 +34,7 @@ from repro.ug.load_coordinator import LoadCoordinator
 from repro.ug.messages import LOAD_COORDINATOR_RANK, MessageTag
 from repro.ug.net.channel import MessageChannel
 from repro.ug.net.transport import (
+    CONNECT_TIMEOUT,
     PipeTransport,
     TcpTransport,
     Transport,
@@ -71,14 +72,7 @@ class _SolverSpec:
 def _child_transport(spec: _SolverSpec, conn: Any) -> Transport:
     if spec.tcp_addr is None:
         return PipeTransport(conn)
-    transport = TcpTransport.connect(
-        spec.tcp_addr[0],
-        spec.tcp_addr[1],
-        connect_timeout=spec.config.net_connect_timeout,
-        connect_retries=spec.config.net_connect_retries,
-        max_outbound=spec.config.net_outbound_queue,
-        jitter_seed=spec.rank,
-    )
+    transport = TcpTransport.connect(spec.tcp_addr[0], spec.tcp_addr[1], jitter_seed=spec.rank)
     # authenticate before any protocol frame: the listener drops dialers
     # that don't present the run's token with the right rank
     send_hello(transport.sock, spec.rank, spec.tcp_token)
@@ -127,7 +121,7 @@ def _worker_loop(spec: _SolverSpec, conn: Any, reusable: bool = False) -> int:
         injector=injector,
     )
     t0 = time.perf_counter()
-    router = MessageRouter(injector, NULL_TRACER, config)
+    router = MessageRouter(injector, NULL_TRACER)
     if not rank_loop(solver, channel, router, lambda: time.perf_counter() - t0):
         return EXIT_INJECTED_CRASH  # no goodbye: it must look like a kill, not a leave
     # Graceful run end.  Pooled: mark the run boundary with RESET and keep
@@ -310,7 +304,7 @@ class ProcessEngine(WallClockEngine):
             except (BrokenPipeError, OSError):
                 conn.close()  # died between park and reuse
                 continue
-            self.lc.metrics.inc("warm_pool_reuses")
+            self.lc.stats.bump("warm_pool_reuses")
             return proc, conn
         proc, conn = _start_pipe_worker(self._ctx, name)
         conn.send(spec)
@@ -325,7 +319,7 @@ class ProcessEngine(WallClockEngine):
 
     def _accept_tcp(self) -> None:
         """Block until every launch rank has dialed in."""
-        deadline = time.monotonic() + self.config.net_connect_timeout * max(len(self.solvers), 1)
+        deadline = time.monotonic() + CONNECT_TIMEOUT * max(len(self.solvers), 1)
         self._listener.settimeout(1.0)
         missing = set(self.solvers)
         while missing:
@@ -343,7 +337,7 @@ class ProcessEngine(WallClockEngine):
             sock, _addr = self._listener.accept()
         except OSError:
             return None
-        hello = recv_hello(sock, self.config.net_connect_timeout)
+        hello = recv_hello(sock, CONNECT_TIMEOUT)
         if hello is None or not hello_token_matches(hello[1], self._token) or hello[0] not in expected:
             sock.close()  # stranger, replay, duplicate or unexpected rank
             return None
@@ -352,7 +346,7 @@ class ProcessEngine(WallClockEngine):
     def _wire_tcp(self, rank: int, sock: Any) -> None:
         """An authenticated dial-in becomes ``rank``'s channel."""
         sock.settimeout(None)
-        transport = TcpTransport(sock, max_outbound=self.config.net_outbound_queue)
+        transport = TcpTransport(sock)
         self.channels[rank] = self._channel(transport, LOAD_COORDINATOR_RANK, rank)
 
     # -- teardown ----------------------------------------------------------------

@@ -43,6 +43,8 @@ class BackpressureError(CommError):
 
 #: hard ceiling on any single retry sleep; 2**attempt alone grows unbounded
 DEFAULT_BACKOFF_CAP = 2.0
+#: per-attempt TCP dial-in timeout, seconds (also bounds the hello read)
+CONNECT_TIMEOUT = 5.0
 
 
 def backoff_delay(base: float, attempt: int, cap: float = DEFAULT_BACKOFF_CAP, seed: int = 0) -> float:
@@ -296,7 +298,7 @@ class TcpTransport(Transport):
         host: str,
         port: int,
         *,
-        connect_timeout: float = 5.0,
+        connect_timeout: float = CONNECT_TIMEOUT,
         connect_retries: int = 5,
         backoff: float = 0.05,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,

@@ -150,17 +150,11 @@ class ParaSolver:
                     "nodes_processed": self.nodes_processed_total,
                 },
             )
-            self.state = "terminated"
-            self.handle = None
-            self.current_node = None
-            self.collect_mode = False
+            self._drop_subproblem("terminated")
             return
         if tag is MessageTag.RACING_LOSER:
             # discard the race tree; solutions were already reported
-            self.handle = None
-            self.current_node = None
-            self.state = "idle"
-            self.collect_mode = False
+            self._drop_subproblem()
             send(LOAD_COORDINATOR_RANK, MessageTag.TERMINATED, {"racing_loser": True, "rank": self.rank})
             return
         raise AssertionError(f"ParaSolver {self.rank}: unexpected tag {tag}")
@@ -188,10 +182,7 @@ class ParaSolver:
                 MessageTag.TERMINATED,
                 {"rank": self.rank, "failed": True, "nodes_processed": self.nodes_processed_total},
             )
-            self.state = "idle"
-            self.handle = None
-            self.current_node = None
-            self.collect_mode = False
+            self._drop_subproblem()
             return _MIN_STEP_WORK
         work = max(step.work, _MIN_STEP_WORK)
         self.busy_work += work
@@ -244,10 +235,7 @@ class ParaSolver:
                         "nodes_processed": self.nodes_processed_total,
                     },
                 )
-            self.state = "idle"
-            self.handle = None
-            self.current_node = None
-            self.collect_mode = False
+            self._drop_subproblem()
             return work
 
         self._work_since_status += work
@@ -286,6 +274,13 @@ class ParaSolver:
             elif shed:
                 send(LOAD_COORDINATOR_RANK, MessageTag.NODE_TRANSFER, {"nodes": shed, "rank": self.rank})
         return work
+
+    def _drop_subproblem(self, state: str = "idle") -> None:
+        """Let go of the current subproblem and its tree, then enter ``state``."""
+        self.state = state
+        self.handle = None
+        self.current_node = None
+        self.collect_mode = False
 
     @property
     def is_busy(self) -> bool:

@@ -1,10 +1,10 @@
 """Run statistics — the quantities reported in the paper's tables.
 
-The dataclass is a passive snapshot: all incremental updates flow
-through the LoadCoordinator's :class:`~repro.obs.metrics.MetricsRegistry`,
-which mirrors every change onto the matching attribute here, so the
-object stays live for mid-run readers (checkpoints serialize it) while
-the registry owns the mutation pathway.
+The dataclass is the run's only counter store: shared counts go through
+:meth:`~repro.obs.metrics.Counters.bump` / ``peak`` (locked, so the
+threads engine's rank-side channels may count too), single-writer values
+are plain assignments, and the object stays live for mid-run readers
+(checkpoints serialize it).
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
+from repro.obs.metrics import Counters
+
 
 @dataclass
-class UGStatistics:
+class UGStatistics(Counters):
     """Everything Tables 1-3 report for a ug[...] run.
 
     Times are virtual seconds under the virtual-clock engines (sim,
@@ -71,7 +73,6 @@ class UGStatistics:
     net_bytes_sent: int = 0
     net_bytes_received: int = 0
     net_decode_errors: int = 0  # malformed frames rejected by the codec
-    net_queue_peak: int = 0  # high-water mark of a bounded outbound queue
     # observability: events evicted by the trace ring buffer during the
     # run (Tracer.dropped at the end of the run).  Non-zero voids the
     # trace-replay audits — repro.verify refuses to certify from a

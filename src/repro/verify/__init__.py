@@ -16,8 +16,7 @@ Three layers:
 * **differential oracles** (:mod:`~repro.verify.differential`) — brute
   force, backend cross-checks and engine equivalence.
 
-Everything reports through :class:`~repro.verify.result.CheckReport`,
-which can mirror its tallies onto a ``repro.obs`` metrics registry.
+Everything reports through :class:`~repro.verify.result.CheckReport`.
 ``python -m repro.verify`` runs the auditors standalone on a
 ``BENCH_*.json`` + trace-JSONL pair.
 """

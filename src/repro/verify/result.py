@@ -91,21 +91,6 @@ class CheckReport:
             )
         return self
 
-    def record(self, metrics: Any) -> "CheckReport":
-        """Mirror the tallies onto a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-        Counters: ``verify_checks`` (total evaluated), ``verify_failures``
-        and ``verify_reports_skipped`` — the repro.obs wiring that makes
-        verification itself observable.
-        """
-        if self.skipped:
-            metrics.inc("verify_reports_skipped")
-        if self.checks:
-            metrics.inc("verify_checks", len(self.checks))
-        if self.failed:
-            metrics.inc("verify_failures", self.failed)
-        return self
-
     def summary(self) -> str:
         subject = self.subject or "report"
         if self.skipped and not self.checks:

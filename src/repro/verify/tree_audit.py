@@ -248,7 +248,7 @@ def audit_ug_run(result: Any, *, tol: float = 1e-6) -> CheckReport:
 
     # elastic-membership reconciliation (repro.ug.cluster): graceful churn
     # — runtime joins and drains — is NOT a fault, and its trace events
-    # are emitted by the LoadCoordinator in lockstep with the metrics, so
+    # are emitted by the LoadCoordinator in lockstep with the statistics, so
     # these checks stay sound even on otherwise-faulty runs
     joins = [e for e in events if e.kind == "rank_join"]
     drained = [e for e in events if e.kind == "rank_drained"]

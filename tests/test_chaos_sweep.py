@@ -97,7 +97,6 @@ def _chaos_run(instance, seed: int, checkpoint_path: str, monkeypatch):
         heartbeat_timeout=0.5,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=0.1,
-        checkpoint_retain=2,
         fault_plan=plan,
     )
     params = ParamSet(lp_backend="simplex", heur_frequency=1, plugin_max_failures=2)

@@ -205,5 +205,59 @@ class TestParams:
         knobs = {f.name for f in fields(ParamSet)} - {"emphasis", "extras"}
         assert sorted(knobs - read) == []
 
+    def test_every_ug_and_serve_field_turns_something(self):
+        """Dead-knob guard for ``UGConfig`` and ``ServeConfig``: somewhere in
+        ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` (outside the
+        defining module) every field is given a value other than its
+        default — as a keyword argument, an attribute store or a string
+        dict key.  A literal equal to the default does not count.  Names
+        are matched without their class, so a same-named keyword of
+        another callee counts too."""
+        import ast
+        from dataclasses import MISSING, fields
+        from pathlib import Path
+
+        from repro.serve.daemon import ServeConfig
+        from repro.ug.config import UGConfig
+
+        repo = Path(__file__).resolve().parents[1]
+        # deployment settings, chosen by whoever starts the daemon; and
+        # journal_fsync, which the perf ledger passes (True, its default)
+        exempt = {"journal_path", "host", "port", "journal_fsync"}
+        knobs: dict[str, tuple[Path, object]] = {}
+        for cls, module in ((UGConfig, "src/repro/ug/config.py"),
+                            (ServeConfig, "src/repro/serve/daemon.py")):
+            for f in fields(cls):
+                default = f.default_factory() if f.default_factory is not MISSING else f.default
+                knobs[f.name] = (repo / module, default)
+
+        turned: set[str] = set()
+
+        def note(path: Path, name: str, value: ast.expr) -> None:
+            if name not in knobs or path == knobs[name][0]:
+                return
+            try:
+                if ast.literal_eval(value) == knobs[name][1]:
+                    return
+            except ValueError:
+                pass  # an expression: assume it can differ from the default
+            turned.add(name)
+
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for path in (repo / top).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.keyword) and node.arg:
+                        note(path, node.arg, node.value)
+                    elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        for target in targets:
+                            if isinstance(target, ast.Attribute) and node.value is not None:
+                                note(path, target.attr, node.value)
+                    elif isinstance(node, ast.Dict):
+                        for key, value in zip(node.keys, node.values):
+                            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                                note(path, key.value, value)
+        assert sorted(set(knobs) - exempt - turned) == []
+
     def test_easycip_cheaper_than_aggressive(self):
         assert emphasis("easycip").max_sepa_rounds < emphasis("aggressive").max_sepa_rounds

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import VerifiedResultCache
+from repro.serve.daemon import ServeStatistics
 from repro.serve.jobs import JobOutcome, JobState
 from repro.verify.result import CheckReport
 
@@ -74,17 +74,18 @@ def test_lookup_miss_returns_none():
 
 
 def test_lru_eviction_and_metrics():
-    metrics = MetricsRegistry()
-    cache = VerifiedResultCache(capacity=2, metrics=metrics)
+    stats = ServeStatistics()
+    cache = VerifiedResultCache(capacity=2, stats=stats)
     cache.insert("a", served(), passing)
     cache.insert("b", served(), passing)
     assert cache.lookup("a") is not None  # refresh a -> b is now oldest
     cache.insert("c", served(), passing)
     assert "b" not in cache and "a" in cache and "c" in cache
-    assert metrics.value("cache_evictions") == 1
-    assert metrics.value("cache_inserts") == 3
+    assert stats.cache_evictions == 1
+    assert stats.cache_inserts == 3
+    assert stats.cache_hits == 1 and stats.cache_misses == 0
     cache.insert("d", served(), failing)
-    assert metrics.value("cache_insert_rejected") == 1
+    assert stats.cache_insert_rejected == 1
 
 
 def test_duplicate_insert_is_idempotent():

@@ -68,6 +68,12 @@ def test_unknown_job_and_invalid_request_are_typed(tmp_path):
                 client.submit({"kind": "stp", "payload": {"generator": "nope"}})
             with pytest.raises(InvalidJobError):
                 client.submit({"kind": "lp", "payload": {"generator": "grid"}})
+            # json.loads parses NaN: an epsilon that silences every solution
+            # report (or prunes against a negative gap) is refused at the door
+            for eps in (float("nan"), -1.0):
+                with pytest.raises(InvalidJobError, match="objective_epsilon"):
+                    client.submit({"kind": "stp", "payload": EASY, "objective_epsilon": eps})
+            assert daemon.stats.jobs_rejected_invalid == 4
 
 
 def test_cancel_racing_completion_is_noop(tmp_path):

@@ -62,15 +62,13 @@ class TestConfigValidation:
         ("heartbeat_timeout", 0.0),
         ("heartbeat_timeout", -1.0),
         ("drain_grace", 0.0),
-        ("net_poll_interval", -0.1),
-        ("net_connect_timeout", 0.0),
-        ("net_shutdown_grace", -1.0),
         ("checkpoint_interval", 0.0),
         ("time_limit", -5.0),
-        ("net_connect_retries", -1),
         ("max_node_retries", -2),
-        ("net_outbound_queue", 0),
         ("node_limit", 0),
+        ("objective_epsilon", float("nan")),
+        ("objective_epsilon", -1.0),
+        ("objective_epsilon", float("inf")),
     ])
     def test_bad_knob_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -648,7 +648,6 @@ def _campaign_config(path, plan):
         heartbeat_timeout=0.4,  # > the longest observed node step on hc5
         checkpoint_path=path,
         checkpoint_interval=0.25,
-        checkpoint_retain=2,
         fault_plan=plan,
     )
 

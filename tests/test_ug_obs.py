@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 
+from repro.apps.stp_plugins import SteinerUserPlugins
 from repro.cip.params import ParamSet
-from repro.obs.metrics import MetricsRegistry, busy_timelines, timeline_idle_ratios
+from repro.obs.metrics import Timer, busy_timelines, timeline_idle_ratios
 from repro.obs.reporters import (
     Report,
     progress_report,
@@ -21,10 +24,13 @@ from repro.obs.reporters import (
     write_bench_json,
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+from repro.serve.daemon import ServeStatistics
+from repro.steiner.instances import hypercube_instance
 from repro.ug import ug
 from repro.ug.config import UGConfig
+from repro.ug.engine_core import build_para_solver
 from repro.ug.engines import SimEngine, ThreadEngine
-from repro.ug.faults import FaultPlan
+from repro.ug.faults import FaultPlan, FrameFault
 from repro.ug.load_coordinator import LoadCoordinator
 from repro.ug.messages import Message, MessageTag
 from repro.ug.para_node import ParaNode
@@ -129,58 +135,94 @@ class TestTracer:
             Tracer(capacity=0)
 
 
-# -- MetricsRegistry -------------------------------------------------------------
+# -- the counter store -----------------------------------------------------------
 
 
 class TestMetrics:
     def test_counter_gauge_mirror_to_sink(self):
+        # the dataclass is the store: counts and peaks land on its fields
         stats = UGStatistics()
-        m = MetricsRegistry(sink=stats)
-        m.inc("transferred_nodes")
-        m.inc("transferred_nodes", 2)
-        m.set("root_time", 1.5)
+        stats.bump("transferred_nodes")
+        stats.bump("transferred_nodes", 2)
+        stats.peak("max_active_solvers", 4)
         assert stats.transferred_nodes == 3
-        assert stats.root_time == 1.5
-        assert m.value("transferred_nodes") == 3
+        assert stats.as_dict()["max_active_solvers"] == 4
 
     def test_maximize_reports_new_max(self):
-        m = MetricsRegistry()
-        assert m.maximize("max_active_solvers", 2)
-        assert not m.maximize("max_active_solvers", 1)
-        assert m.maximize("max_active_solvers", 5)
-        assert m.value("max_active_solvers") == 5
-
-    def test_unmatched_name_not_mirrored(self):
         stats = UGStatistics()
-        m = MetricsRegistry(sink=stats)
-        m.inc("no_such_attribute")  # must not blow up or create attrs
-        assert not hasattr(stats, "no_such_attribute")
+        assert stats.peak("max_active_solvers", 2)
+        assert not stats.peak("max_active_solvers", 1)
+        assert stats.peak("max_active_solvers", 5)
+        assert stats.max_active_solvers == 5
+
+    def test_unknown_name_raises(self):
+        # a typo must not file a new counter beside the dataclass fields
+        stats = UGStatistics()
+        with pytest.raises(AttributeError):
+            stats.bump("no_such_attribute")
+        with pytest.raises(AttributeError):
+            ServeStatistics().peak("peak_queue_dept", 3)
+        assert "no_such_attribute" not in stats.as_dict()
+
+    def test_concurrent_bumps_and_peaks_lose_nothing(self):
+        stats = ServeStatistics()
+        n_threads, n_bumps = 8, 10_000
+
+        def worker(k: int) -> None:
+            for i in range(n_bumps):
+                stats.bump("stream_events_sent")
+                stats.peak("peak_queue_depth", k * n_bumps + i)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost update shows
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stats.stream_events_sent == n_threads * n_bumps
+        assert stats.peak_queue_depth == n_threads * n_bumps - 1
 
     def test_timer_aggregates(self):
-        m = MetricsRegistry()
-        t = m.timer("checkpoint_write_seconds")
+        t = Timer()
         t.observe(0.2)
         t.observe(0.4)
         d = t.as_dict()
         assert d["count"] == 2
         assert d["total"] == pytest.approx(0.6)
         assert d["mean"] == pytest.approx(0.3)
-        with t.time():
-            pass
-        assert t.count == 3
+        assert d["min"] == pytest.approx(0.2) and d["max"] == pytest.approx(0.4)
+        assert Timer().as_dict()["min"] == 0.0
 
-    def test_kind_mismatch_raises(self):
-        m = MetricsRegistry()
-        m.counter("x")
-        with pytest.raises(TypeError):
-            m.gauge("x")
-
-    def test_as_dict_snapshot(self):
-        m = MetricsRegistry()
-        m.inc("a")
-        m.set("b", 7)
-        snap = m.as_dict()
-        assert snap["a"] == 1 and snap["b"] == 7
+    def test_threads_run_counts_every_frame_of_both_ends(self):
+        """The rank-side channels of the threads engine count from their
+        own threads: the run's totals must equal the per-channel counters
+        summed over both ends of every wire, decode errors included."""
+        config = UGConfig(
+            time_limit=1e9, objective_epsilon=1 - 1e-6, heartbeat_timeout=2.0,
+            fault_plan=FaultPlan(frame_faults=(FrameFault(src=1, action="corrupt", count=2),)),
+        )
+        graph = hypercube_instance(4, perturbed=False, seed=1)
+        lc = LoadCoordinator(graph, SteinerUserPlugins(), ParamSet(), config, 3)
+        solvers = {
+            r: build_para_solver(r, lc.instance, lc.user_plugins, ParamSet(), 0, config)
+            for r in (1, 2, 3)
+        }
+        engine = ThreadEngine(lc, solvers, config)
+        engine.wall_clock_limit = 60.0
+        engine.run()
+        ends = [*engine.channels.values(), *engine.rank_channels.values()]
+        assert len(ends) == 6
+        s = lc.stats
+        assert s.net_decode_errors == sum(c.decode_errors for c in ends) == 2
+        assert s.net_frames_sent == sum(c.frames_sent for c in ends) > 0
+        assert s.net_frames_received == sum(c.frames_received for c in ends)
+        assert s.net_bytes_sent == sum(c.bytes_sent for c in ends) > 0
+        assert s.net_bytes_received == sum(c.bytes_received for c in ends)
 
 
 class TestTimelines:

@@ -12,7 +12,6 @@ import pytest
 from repro.exceptions import VerificationError
 from repro.lp.interface import solve_lp
 from repro.lp.model import LinearProgram
-from repro.obs.metrics import MetricsRegistry
 from repro.sdp.instances import min_k_partitioning
 from repro.sdp.solver import MISDPSolver
 from repro.steiner.graph import SteinerGraph
@@ -68,17 +67,6 @@ class TestCheckReport:
         s = CheckReport().mark_skipped("untraced")
         assert s.skipped and s.ok
         assert "skipped" in s.summary()
-
-    def test_record_onto_metrics(self):
-        m = MetricsRegistry()
-        r = CheckReport()
-        r.add("a", True)
-        r.add("b", False)
-        r.record(m)
-        CheckReport().mark_skipped("why").record(m)
-        assert m.counter("verify_checks").value == 2
-        assert m.counter("verify_failures").value == 1
-        assert m.counter("verify_reports_skipped").value == 1
 
 
 class TestLPCertificate:
