@@ -16,7 +16,7 @@ import numpy as np
 from repro.cip.mip import make_mip_solver
 from repro.cip.model import Model, VarType
 from repro.cip.plugins import Heuristic
-from repro.ug import HandleStep, ParaNode, ParaSolution, SolverHandle, UserPlugins, ug
+from repro.ug import CIPHandle, UserPlugins, ug
 from repro.ug.config import UGConfig
 
 
@@ -72,34 +72,11 @@ def make_custom_solver(model, params=None, seed=0):
     return solver
 
 
-# --- the glue: everything UG needs, in ~40 lines ---------------------------
+# --- the glue: everything UG needs, in ~15 lines ---------------------------
 
-class KnapsackHandle(SolverHandle):
-    def __init__(self, cip):
-        self.cip = cip
-
-    def step(self):
-        out = self.cip.step()
-        sols = []
-        if out.new_solution is not None and out.new_solution.x is not None:
-            sols = [ParaSolution(out.new_solution.value, [float(v) for v in out.new_solution.x])]
-        return HandleStep(out.finished, out.work, self.cip.dual_bound(), self.cip.n_open(), sols, 1)
-
-    def extract_para_node(self):
-        node = self.cip.extract_open_node()
-        if node is None:
-            return None
-        bounds = [[int(j), float(lo), float(hi)] for j, (lo, hi) in sorted(node.bound_changes.items())]
-        return ParaNode(payload={"bounds": bounds}, dual_bound=node.lower_bound, depth=node.depth)
-
-    def inject_incumbent_value(self, value):
-        self.cip.set_cutoff_value(value)
-
-    def dual_bound(self):
-        return self.cip.dual_bound()
-
-    def n_open(self):
-        return self.cip.n_open()
+def encode_node(node):
+    """An open node travels as its variable-bound changes."""
+    return {"bounds": [[int(j), float(lo), float(hi)] for j, (lo, hi) in sorted(node.bound_changes.items())]}
 
 
 class KnapsackUserPlugins(UserPlugins):
@@ -111,7 +88,7 @@ class KnapsackUserPlugins(UserPlugins):
         solver.setup(root_bounds=bounds, root_estimate=node.dual_bound)
         if incumbent is not None:
             solver.set_cutoff_value(incumbent.value)
-        return KnapsackHandle(solver)
+        return CIPHandle(solver, encode_node, lambda sol: [float(v) for v in sol.x])
 
 
 def main() -> None:

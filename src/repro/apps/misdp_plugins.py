@@ -13,58 +13,7 @@ from repro.cip.params import ParamSet, emphasis
 from repro.sdp.model import MISDP
 from repro.sdp.solver import MISDPSolver
 from repro.ug.para_node import ParaNode
-from repro.ug.para_solution import ParaSolution
-from repro.ug.user_plugins import HandleStep, SolverHandle, UserPlugins
-
-
-class MISDPHandle(SolverHandle):
-    """Wraps a MISDPSolver working on one UG subproblem."""
-
-    def __init__(self, solver: MISDPSolver) -> None:
-        self.solver = solver
-
-    def step(self) -> HandleStep:
-        cip = self.solver.cip
-        assert cip is not None
-        out = cip.step()
-        sols = []
-        if out.new_solution is not None:
-            y = out.new_solution.x
-            payload = None if y is None else [float(v) for v in y]
-            sols = [ParaSolution(out.new_solution.value, payload)]
-        return HandleStep(
-            out.finished, out.work, cip.dual_bound(), cip.n_open(), sols, 1, status=out.status.value
-        )
-
-    def attach_telemetry(self, tracer, rank: int = 0) -> None:
-        if self.solver.cip is not None:
-            self.solver.cip.tracer = tracer
-            self.solver.cip.trace_rank = rank
-
-    def extract_para_node(self) -> ParaNode | None:
-        cip = self.solver.cip
-        assert cip is not None
-        node = cip.extract_open_node()
-        if node is None:
-            return None
-        bounds = self.solver.node_to_subproblem(node)
-        return ParaNode(
-            payload={"bounds": [list(b) for b in bounds]},
-            dual_bound=node.lower_bound,
-            depth=node.depth,
-        )
-
-    def inject_incumbent_value(self, value: float) -> None:
-        assert self.solver.cip is not None
-        self.solver.cip.set_cutoff_value(value)
-
-    def dual_bound(self) -> float:
-        assert self.solver.cip is not None
-        return self.solver.cip.dual_bound()
-
-    def n_open(self) -> int:
-        assert self.solver.cip is not None
-        return self.solver.cip.n_open()
+from repro.ug.user_plugins import CIPHandle, UserPlugins
 
 
 class MISDPUserPlugins(UserPlugins):
@@ -83,7 +32,11 @@ class MISDPUserPlugins(UserPlugins):
         solver = MISDPSolver(instance, params=params, approach=approach, seed=seed)
         bounds = tuple((int(i), float(lo), float(hi)) for i, lo, hi in node.payload.get("bounds", []))
         solver.prepare(bounds, cutoff_value=None if incumbent is None else incumbent.value)
-        return MISDPHandle(solver)
+        return CIPHandle(
+            solver.cip,
+            lambda cip_node: {"bounds": [list(b) for b in solver.node_to_subproblem(cip_node)]},
+            lambda sol: None if sol.x is None else [float(v) for v in sol.x],
+        )
 
     def racing_param_sets(self, n: int, base: ParamSet) -> list[ParamSet]:
         """Setting k (1-based): odd = SDP-based, even = LP-based."""

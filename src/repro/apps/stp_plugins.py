@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.cip.params import ParamSet
 from repro.steiner.graph import SteinerGraph
 from repro.steiner.reductions import reduce_graph
 from repro.steiner.solver import SteinerSolver
 from repro.ug.para_node import ParaNode
 from repro.ug.para_solution import ParaSolution
-from repro.ug.user_plugins import HandleStep, SolverHandle, UserPlugins
+from repro.ug.user_plugins import CIPHandle, UserPlugins
 
 
 # Heuristic portfolios raced during ramp-up (Figure-1 style): each is a
@@ -38,62 +36,6 @@ STP_PLUGIN_SETS: tuple[tuple[str, dict[str, tuple[str, ...]] | None], ...] = (
 )
 
 
-class SteinerHandle(SolverHandle):
-    """Wraps a SteinerSolver working on one UG subproblem."""
-
-    def __init__(self, solver: SteinerSolver) -> None:
-        self.solver = solver
-        self._done = False
-
-    def step(self) -> HandleStep:
-        if self.solver.cip is None:  # subproblem solved by layered presolve alone
-            sols = []
-            if self.solver._trivial_solution is not None and not self._done:
-                edges, cost = self.solver._trivial_solution
-                sols = [ParaSolution(cost, {"edges": list(edges)})]
-            self._done = True
-            return HandleStep(True, 1e-4, math.inf, 0, sols, 1, status="optimal")
-        out = self.solver.cip.step()
-        sols = []
-        if out.new_solution is not None:
-            sols = [ParaSolution(out.new_solution.value, {"edges": self.solver.extract_original_edges()})]
-        return HandleStep(
-            out.finished,
-            out.work,
-            self.solver.cip.dual_bound(),
-            self.solver.cip.n_open(),
-            sols,
-            1,
-            status=out.status.value,
-        )
-
-    def attach_telemetry(self, tracer, rank: int = 0) -> None:
-        if self.solver.cip is not None:
-            self.solver.cip.tracer = tracer
-            self.solver.cip.trace_rank = rank
-
-    def extract_para_node(self) -> ParaNode | None:
-        cip = self.solver.cip
-        if cip is None:
-            return None
-        node = cip.extract_open_node()
-        if node is None:
-            return None
-        decisions, fixings = self.solver.node_to_subproblem(node)
-        payload = {"decisions": [list(d) for d in decisions], "fixings": [list(f) for f in fixings]}
-        return ParaNode(payload=payload, dual_bound=node.lower_bound, depth=node.depth)
-
-    def inject_incumbent_value(self, value: float) -> None:
-        if self.solver.cip is not None:
-            self.solver.cip.set_cutoff_value(value)
-
-    def dual_bound(self) -> float:
-        return math.inf if self.solver.cip is None else self.solver.cip.dual_bound()
-
-    def n_open(self) -> int:
-        return 0 if self.solver.cip is None else self.solver.cip.n_open()
-
-
 class SteinerUserPlugins(UserPlugins):
     """Declares the Steiner solver to UG (ScipUserPlugins analogue)."""
 
@@ -119,7 +61,15 @@ class SteinerUserPlugins(UserPlugins):
             reduce=bool(params.get_extra("ug/layered_presolve", True)),
             dual_bound_estimate=node.dual_bound,
         )
-        return SteinerHandle(solver)
+        if solver.cip is None:  # the second presolve layer settled the subproblem
+            edges, cost = solver._trivial_solution
+            return CIPHandle(None, settled=ParaSolution(cost, {"edges": list(edges)}))
+
+        def encode_node(cip_node):
+            decisions, fixings = solver.node_to_subproblem(cip_node)
+            return {"decisions": [list(d) for d in decisions], "fixings": [list(f) for f in fixings]}
+
+        return CIPHandle(solver.cip, encode_node, lambda _sol: {"edges": solver.extract_original_edges()})
 
     def racing_param_sets(self, n: int, base: ParamSet) -> list[ParamSet]:
         sets = []

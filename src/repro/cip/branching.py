@@ -1,8 +1,8 @@
 """Generic branching rules for integer variables.
 
 Problem-specific rules (Steiner vertex branching, SDP branching) live in
-their applications; these two cover plain MIP solving and serve as the
-fallback for integral-variable problems.
+their applications; most-fractional branching covers plain MIP solving
+and serves as the fallback for integral-variable problems.
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ class MostFractionalBranching(BranchingRule):
         if not frac:
             return []
         perm = {j: r for r, j in enumerate(solver.rng.permutation(solver.model.num_variables))}
-        best = min(frac, key=lambda j: (abs(float(x[j]) - np.floor(float(x[j])) - 0.5), perm[j]))
+
+        def score(j: int) -> tuple[float, int]:
+            f = float(x[j]) - float(np.floor(float(x[j])))
+            return (min(f, 1 - f), -perm[j])
+
+        best = max(frac, key=score)
         return _split(solver, best, float(x[best]))
 
     def _branch_without_lp(self, solver: CIPSolver) -> list[ChildSpec]:
@@ -54,51 +59,3 @@ class MostFractionalBranching(BranchingRule):
                 mid = float(np.floor((lo + hi) / 2.0))
                 return _split(solver, j, mid + 0.5)
         return []
-
-
-class PseudocostBranching(BranchingRule):
-    """Pseudocost branching with most-fractional initialisation.
-
-    Maintains per-variable average objective gains for down/up branches
-    and picks the candidate maximising the product score (the standard
-    MIP recipe); uninitialised variables fall back to fractionality.
-    """
-
-    name = "pseudocost"
-    priority = 20
-
-    def __init__(self) -> None:
-        self._down_gain: dict[int, tuple[float, int]] = {}
-        self._up_gain: dict[int, tuple[float, int]] = {}
-        self._last_pick: tuple[int, float, float] | None = None
-
-    def record_gain(self, j: int, direction: int, gain: float) -> None:
-        book = self._down_gain if direction < 0 else self._up_gain
-        total, count = book.get(j, (0.0, 0))
-        book[j] = (total + max(gain, 0.0), count + 1)
-
-    def _avg(self, book: dict[int, tuple[float, int]], j: int) -> float | None:
-        if j not in book:
-            return None
-        total, count = book[j]
-        return total / count
-
-    def branch(self, solver: CIPSolver, node: Node, x: np.ndarray | None) -> list[ChildSpec]:
-        if x is None:
-            return MostFractionalBranching().branch(solver, node, x)
-        frac = _fractional(solver, x)
-        if not frac:
-            return []
-        perm = {j: r for r, j in enumerate(solver.rng.permutation(solver.model.num_variables))}
-
-        def score(j: int) -> tuple[float, float]:
-            f = float(x[j]) - float(np.floor(float(x[j])))
-            down = self._avg(self._down_gain, j)
-            up = self._avg(self._up_gain, j)
-            if down is None or up is None:
-                return (min(f, 1 - f), -perm[j])
-            return (max(down * f, 1e-6) * max(up * (1 - f), 1e-6), -perm[j])
-
-        best = max(frac, key=score)
-        self._last_pick = (best, float(x[best]), node.lower_bound)
-        return _split(solver, best, float(x[best]))

@@ -6,7 +6,7 @@ the customized applications fill, loaded with the generic defaults.
 
 from __future__ import annotations
 
-from repro.cip.branching import MostFractionalBranching, PseudocostBranching
+from repro.cip.branching import MostFractionalBranching
 from repro.cip.heuristics import DivingHeuristic, RoundingHeuristic
 from repro.cip.model import Model
 from repro.cip.params import ParamSet
@@ -31,6 +31,5 @@ def make_mip_solver(
     solver.include_propagator(LinearActivityPropagator())
     solver.include_heuristic(RoundingHeuristic())
     solver.include_heuristic(DivingHeuristic())
-    solver.include_branching_rule(PseudocostBranching())
     solver.include_branching_rule(MostFractionalBranching())
     return solver

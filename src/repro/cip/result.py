@@ -37,9 +37,6 @@ class Solution:
     x: np.ndarray | None = None
     data: Any = None
 
-    def external_value(self, sense: int = 1) -> float:
-        return sense * self.value
-
 
 @dataclass
 class SolveResult:

@@ -16,14 +16,6 @@ class LPError(ReproError):
     """Raised when an LP cannot be solved (numerical failure, bad input)."""
 
 
-class InfeasibleError(ReproError):
-    """Raised when a problem is proven infeasible where a solution was required."""
-
-
-class UnboundedError(ReproError):
-    """Raised when a relaxation is unbounded."""
-
-
 class ModelError(ReproError):
     """Raised on inconsistent model construction (bad bounds, unknown variable...)."""
 

@@ -94,6 +94,8 @@ def orlib_random(n: int = 40, m: int = 90, n_terminals: int = 8, max_cost: int =
     """OR-Library B/C/D-class shape: random sparse graph, integer costs."""
     if m < n - 1:
         raise GraphError("need m >= n - 1 edges for connectivity")
+    if m > n * (n - 1) // 2:
+        raise GraphError(f"a simple graph on {n} vertices has at most {n * (n - 1) // 2} edges, not {m}")
     rng = make_rng(seed)
     g = SteinerGraph.create(n)
     seen: set[tuple[int, int]] = set()

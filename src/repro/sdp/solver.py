@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cip.branching import MostFractionalBranching, PseudocostBranching
+from repro.cip.branching import MostFractionalBranching
 from repro.cip.model import Model, VarType
 from repro.cip.node import Node
 from repro.cip.params import ParamSet
@@ -104,7 +104,6 @@ class MISDPSolver:
         cip.include_propagator(LinearActivityPropagator())
         cip.include_propagator(DualFixingPropagator(misdp))
         cip.include_heuristic(RandomizedRoundingHeuristic(misdp))
-        cip.include_branching_rule(PseudocostBranching())
         cip.include_branching_rule(MostFractionalBranching())
         cip.include_branching_rule(SpatialBranching(misdp))
         if self.approach == "sdp":

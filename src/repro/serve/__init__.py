@@ -32,7 +32,7 @@ from repro.serve.jobs import (
     UnknownJobError,
 )
 from repro.serve.journal import JobJournal, reduce_journal, replay_journal
-from repro.serve.runner import instance_fingerprint, verify_certificate
+from repro.serve.runner import instance_cache_key, verify_certificate
 from repro.serve.scheduler import FairShareScheduler, TenantQuota
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
     "UnknownJobError",
     "VerifiedResultCache",
     "daemon_in_thread",
-    "instance_fingerprint",
+    "instance_cache_key",
     "reduce_journal",
     "replay_journal",
     "verify_certificate",

@@ -1,6 +1,6 @@
 """Verified instance-fingerprint cache.
 
-Maps :func:`repro.serve.runner.instance_fingerprint` hashes to served
+Maps :func:`repro.serve.runner.instance_cache_key` hashes to served
 outcomes so a repeat query — same instance, regardless of how the
 request spelled it — is answered instantly.  Two safety rules keep the
 cache from ever laundering a bad answer:

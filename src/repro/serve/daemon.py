@@ -259,11 +259,17 @@ class ServeDaemon:
         except InvalidJobError:
             self.stats.bump("jobs_rejected_invalid")
             raise
-        fingerprint, labeling = runner.instance_cache_key(request.kind, instance)
+        cache_key = runner.instance_cache_key(request.kind, instance)
+        fingerprint, labeling = cache_key
         job_id = uuid.uuid4().hex[:12]
         cached = self.cache.lookup(fingerprint)
-        if cached is not None and request.kind == "stp":
-            cached = self._translate_cached_stp(cached, instance, labeling)
+        if cached is not None:
+            cached.solution = runner.KINDS[request.kind].from_cache(
+                instance, labeling, cached.solution
+            )
+            if cached.solution is None:
+                self.stats.bump("cache_translation_failed")
+                cached = None
         if cached is not None:
             cached.detail = f"served from cache ({cached.detail})"
             record = JobRecord(
@@ -281,7 +287,7 @@ class ServeDaemon:
             self._count_terminal(cached.state)
             return record.public_view()
         record = JobRecord(
-            job_id=job_id, request=request, submitted_at=self.config.clock()
+            job_id=job_id, request=request, submitted_at=self.config.clock(), cache_key=cache_key
         )
         try:
             self.scheduler.submit(record, slots=self.config.slots)
@@ -300,33 +306,6 @@ class ServeDaemon:
         if self._kick is not None:
             self._kick.set()
         return record.public_view()
-
-    def _translate_cached_stp(
-        self, cached: JobOutcome, instance: Any, labeling: list[int] | None
-    ) -> JobOutcome | None:
-        """Rewrite a cached STP solution into the query's own edge ids.
-
-        Canonical fingerprints match *isomorphic* instances, whose edge
-        ids differ — the stored solution is kept as relabeling-invariant
-        ``(u, v, cost)`` triples and mapped through the query instance's
-        canonical labeling here.  An untranslatable entry (no labeling,
-        or a triple with no matching edge) is treated as a miss rather
-        than served wrong.
-        """
-        sol = cached.solution
-        if not (isinstance(sol, dict) and "stp_canonical" in sol):
-            return cached  # structural-fingerprint entry: ids are literal
-        if labeling is None:
-            self.stats.bump("cache_translation_failed")
-            return None
-        edges = runner.stp_solution_from_canonical(
-            instance, labeling, sol["stp_canonical"]
-        )
-        if edges is None:
-            self.stats.bump("cache_translation_failed")
-            return None
-        cached.solution = edges
-        return cached
 
     # -- scheduling + execution -------------------------------------------------
 
@@ -352,8 +331,9 @@ class ServeDaemon:
     def _solve(self, record: JobRecord, budget: Budget) -> Any:
         """Blocking solve on a worker thread (monkeypatchable test seam)."""
         instance = self._instances.get(record.job_id)
-        if instance is None:
+        if instance is None:  # recovered from the journal
             instance = runner.build_instance(record.request)
+            record.cache_key = runner.instance_cache_key(record.request.kind, instance)
             self._instances[record.job_id] = instance
         return runner.solve_job(
             record.request,
@@ -407,38 +387,25 @@ class ServeDaemon:
         duration = (record.finished_at or 0.0) - (record.started_at or 0.0)
         self.job_seconds.observe(max(0.0, duration))
         self._count_terminal(outcome.state)
-        if outcome.certified and outcome.solution is not None:
-            instance = self._instances.get(record.job_id)
-            if instance is not None:
-                fingerprint, labeling = runner.instance_cache_key(
-                    record.request.kind, instance
-                )
-                stored = outcome
-                if record.request.kind == "stp" and labeling is not None:
-                    # store the solution in relabeling-invariant form so a
-                    # hit from an isomorphic instance can be translated
-                    stored = dataclasses.replace(
-                        outcome,
-                        solution={
-                            "stp_canonical": runner.stp_solution_to_canonical(
-                                instance, labeling, outcome.solution
-                            )
-                        },
-                    )
-                self.cache.insert(
-                    fingerprint,
-                    stored,
-                    lambda: runner.verify_certificate(
-                        record.request.kind,
-                        instance,
-                        outcome.solution,
-                        outcome.objective,
-                        outcome.bound,
-                        solved=outcome.solved,
-                        gap_slack=record.request.objective_epsilon or 0.0,
-                    ),
-                )
-        self._instances.pop(record.job_id, None)
+        instance = self._instances.pop(record.job_id, None)
+        if outcome.certified and outcome.solution is not None and record.cache_key is not None:
+            fingerprint, labeling = record.cache_key
+            to_cache = runner.KINDS[record.request.kind].to_cache
+            self.cache.insert(
+                fingerprint,
+                dataclasses.replace(
+                    outcome, solution=to_cache(instance, labeling, outcome.solution)
+                ),
+                lambda: runner.verify_certificate(
+                    record.request.kind,
+                    instance,
+                    outcome.solution,
+                    outcome.objective,
+                    outcome.bound,
+                    solved=outcome.solved,
+                    gap_slack=record.request.objective_epsilon or 0.0,
+                ),
+            )
         self.scheduler.release(record.request.tenant, duration)
         self._slots_used -= record.cost
         if self._kick is not None:

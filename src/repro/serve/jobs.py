@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.utils.records import decode_float, encode_float
+
 # -- states ---------------------------------------------------------------------
 
 
@@ -108,21 +110,6 @@ def error_from_code(code: str, message: str, retry_after: float | None = None) -
     if issubclass(cls, AdmissionError):
         return cls(message, retry_after=1.0 if retry_after is None else retry_after)
     return cls(message)
-
-
-# -- non-finite floats over JSON ------------------------------------------------
-
-
-def encode_float(x: float) -> float | str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
-def decode_float(x: Any) -> float:
-    if isinstance(x, str):
-        return math.inf if x == "inf" else -math.inf
-    return float(x)
 
 
 # -- requests -------------------------------------------------------------------
@@ -292,6 +279,9 @@ class JobRecord:
     cancel_requested: bool = False
     #: live event stream of the running solve (a repro.obs Tracer)
     tracer: Any = None
+    #: (fingerprint, canonical labeling) of the instance, computed once
+    #: per job by runner.instance_cache_key
+    cache_key: tuple[str, list[int] | None] | None = None
 
     @property
     def terminal(self) -> bool:

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.serve.jobs import JobOutcome, JobState, TERMINAL_STATES
+from repro.utils.records import canonical_json
 
 _CRC_KEY = "crc32"
 
@@ -44,19 +45,12 @@ EV_CANCELLED = "cancelled"
 EVENTS = frozenset({EV_SUBMITTED, EV_STARTED, EV_COMPLETED, EV_CANCELLED})
 
 
-def _canonical(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
 @dataclass
 class JournalRecord:
     seq: int
     event: str
     job_id: str
     data: dict[str, Any] = field(default_factory=dict)
-
-    def to_doc(self) -> dict[str, Any]:
-        return {"seq": self.seq, "event": self.event, "job": self.job_id, "data": self.data}
 
 
 class JobJournal:
@@ -77,8 +71,8 @@ class JobJournal:
         if event not in EVENTS:
             raise ValueError(f"unknown journal event {event!r}")
         doc = {"seq": self._seq, "event": event, "job": job_id, "data": data or {}}
-        doc[_CRC_KEY] = zlib.crc32(_canonical(doc))
-        self._fh.write(_canonical(doc) + b"\n")
+        doc[_CRC_KEY] = zlib.crc32(canonical_json(doc))
+        self._fh.write(canonical_json(doc) + b"\n")
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
@@ -128,7 +122,7 @@ def replay_journal(path: str | os.PathLike) -> JournalReplay:
         try:
             doc = json.loads(line)
             crc = doc.pop(_CRC_KEY)
-            if crc != zlib.crc32(_canonical(doc)):
+            if crc != zlib.crc32(canonical_json(doc)):
                 raise ValueError(f"CRC32 mismatch (stored {crc})")
             rec = JournalRecord(
                 seq=int(doc["seq"]),

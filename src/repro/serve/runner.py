@@ -16,85 +16,30 @@ with the checker's reason — never a silently served answer.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
+from repro.apps.misdp_plugins import MISDPUserPlugins
+from repro.apps.stp_plugins import SteinerUserPlugins
 from repro.obs.trace import Tracer
+from repro.sdp.instances import cardinality_least_squares, min_k_partitioning, truss_topology_design
 from repro.serve.jobs import InvalidJobError, JobOutcome, JobRequest, JobState
+from repro.steiner.instances import grid_instance, hypercube_instance, random_instance
+from repro.steiner.stp_io import parse_stp
 from repro.ug.config import UGConfig
 from repro.ug.instantiation import UGResult, ug
 from repro.ug.statistics import _gap
+from repro.ug.user_plugins import UserPlugins
+from repro.utils.records import canonical_json, encode_float
 from repro.verify.result import CheckReport
-
-# -- instance construction ------------------------------------------------------
-
-_STP_GENERATORS: dict[str, Callable[..., Any]] = {}
-_MISDP_GENERATORS: dict[str, Callable[..., Any]] = {}
+from repro.verify.sdp import check_misdp_solution
+from repro.verify.steiner import check_steiner_tree
 
 
-def _stp_generators() -> dict[str, Callable[..., Any]]:
-    if not _STP_GENERATORS:
-        from repro.steiner.instances import (
-            grid_instance,
-            hypercube_instance,
-            random_instance,
-        )
-
-        _STP_GENERATORS.update(
-            hypercube=hypercube_instance, grid=grid_instance, random=random_instance
-        )
-    return _STP_GENERATORS
-
-
-def _misdp_generators() -> dict[str, Callable[..., Any]]:
-    if not _MISDP_GENERATORS:
-        from repro.sdp.instances import (
-            cardinality_least_squares,
-            min_k_partitioning,
-            truss_topology_design,
-        )
-
-        _MISDP_GENERATORS.update(
-            truss=truss_topology_design,
-            cardls=cardinality_least_squares,
-            partition=min_k_partitioning,
-        )
-    return _MISDP_GENERATORS
-
-
-def build_instance(request: JobRequest) -> Any:
-    """Turn a request payload into a solver-ready instance object."""
-    payload = request.payload
-    if request.kind == "stp":
-        if "stp" in payload:
-            from repro.steiner.stp_io import parse_stp
-
-            try:
-                return parse_stp(str(payload["stp"]))
-            except Exception as exc:
-                raise InvalidJobError(f"cannot parse STP payload: {exc}") from exc
-        generators = _stp_generators()
-    else:
-        generators = _misdp_generators()
-    name = str(payload.get("generator", ""))
-    gen = generators.get(name)
-    if gen is None:
-        raise InvalidJobError(
-            f"unknown {request.kind} generator {name!r}; choose from {sorted(generators)}"
-        )
-    params = payload.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidJobError("generator params must be an object")
-    try:
-        return gen(**params)
-    except TypeError as exc:
-        raise InvalidJobError(f"bad params for generator {name!r}: {exc}") from exc
-    except Exception as exc:
-        raise InvalidJobError(f"generator {name!r} failed: {exc}") from exc
-
-
-# -- instance fingerprinting ----------------------------------------------------
+# -- STP canonical labeling -----------------------------------------------------
 
 _CANON_BUDGET = 4000  # refinement steps for canonical labeling; exhaustion falls back
 _COST_ROUND = 9
@@ -131,29 +76,34 @@ def stp_canonical_labeling(instance: Any, budget: int = _CANON_BUDGET):
     return canonical_form(colored_graph(n, colors, edges), budget=budget)
 
 
-def stp_solution_to_canonical(
-    instance: Any, labeling: list[int], edge_ids: Any
-) -> list[list[Any]]:
-    """Express a solution's edge ids as relabeling-invariant triples."""
+def _stp_to_cache(instance: Any, labeling: list[int] | None, edge_ids: Any) -> Any:
+    """Store a solution as relabeling-invariant ``(u, v, cost)`` triples
+    in canonical positions; without a labeling its ids are stored as-is."""
+    if labeling is None:
+        return edge_ids
     pos = {v: i for i, v in enumerate(labeling)}
     triples = []
     for eid in edge_ids:
         e = instance.edges[int(eid)]
         cu, cv = pos[int(e.u)], pos[int(e.v)]
         triples.append([min(cu, cv), max(cu, cv), round(float(e.cost), _COST_ROUND)])
-    return sorted(triples)
+    return {"stp_canonical": sorted(triples)}
 
 
-def stp_solution_from_canonical(
-    instance: Any, labeling: list[int], triples: Any
-) -> list[int] | None:
-    """Map canonical triples onto this instance's edge ids, or None.
+def _stp_from_cache(instance: Any, labeling: list[int] | None, cached: Any) -> Any:
+    """A cached solution in the query's own edge ids, or None.
 
-    Parallel edges with equal cost are interchangeable (same endpoints,
-    same cost), so any one-to-one matching is valid; an unmatchable
-    triple means the instances were not isomorphic after all and the
-    caller must treat the lookup as a miss.
+    Canonical fingerprints match *isomorphic* instances, whose edge ids
+    differ, so triples are mapped through the query's labeling.
+    Parallel edges with equal cost are interchangeable, so any
+    one-to-one matching is valid; an untranslatable entry (no labeling,
+    or a triple with no matching edge: the instances were not
+    isomorphic after all) is a miss rather than an answer served wrong.
     """
+    if not (isinstance(cached, dict) and "stp_canonical" in cached):
+        return cached  # structural-fingerprint entry: ids are literal
+    if labeling is None:
+        return None
     pos = {v: i for i, v in enumerate(labeling)}
     buckets: dict[tuple[int, int, float], list[int]] = {}
     for eid, e in enumerate(instance.edges):
@@ -163,89 +113,176 @@ def stp_solution_from_canonical(
         key = (min(cu, cv), max(cu, cv), round(float(e.cost), _COST_ROUND))
         buckets.setdefault(key, []).append(eid)
     out = []
-    for t in triples:
-        key = (int(t[0]), int(t[1]), round(float(t[2]), _COST_ROUND))
-        bucket = buckets.get(key)
+    for t in cached["stp_canonical"]:
+        bucket = buckets.get((int(t[0]), int(t[1]), round(float(t[2]), _COST_ROUND)))
         if not bucket:
             return None
         out.append(bucket.pop())
     return out
 
 
-def instance_cache_key(kind: str, instance: Any) -> tuple[str, list[int] | None]:
-    """Fingerprint plus (for STP) the canonical labeling used to build it.
+def _stp_structure(instance: Any) -> dict[str, Any]:
+    return {
+        "n": int(instance.n),
+        "terminals": sorted(int(t) for t in instance.terminals),
+        "edges": sorted(
+            (min(int(e.u), int(e.v)), max(int(e.u), int(e.v)), float(e.cost))
+            for e in instance.edges
+            if e.alive
+        ),
+    }
 
-    The labeling is ``None`` for MISDP instances and when the canonical
-    search exhausted its budget — in both cases the fingerprint is the
-    structural one and cached solutions need no translation.
+
+def _misdp_structure(instance: Any) -> dict[str, Any]:
+    return {
+        "b": [float(x) for x in instance.b],
+        "lb": [float(x) for x in instance.lb],
+        "ub": [float(x) for x in instance.ub],
+        "integers": sorted(int(i) for i in instance.integers),
+        "blocks": [
+            {
+                "C": [[float(x) for x in row] for row in blk.C],
+                "coefs": {
+                    str(i): [[float(x) for x in row] for row in A]
+                    for i, A in sorted(blk.coefs.items())
+                },
+            }
+            for blk in instance.blocks
+        ],
+        "rows": [
+            {
+                "coefs": {str(i): float(c) for i, c in sorted(row.coefs.items())},
+                "lhs": encode_float(row.lhs),
+                "rhs": encode_float(row.rhs),
+            }
+            for row in instance.linear_rows
+        ],
+    }
+
+
+def _check_stp(instance: Any, solution: Any, objective: float, tol: float) -> CheckReport:
+    return check_steiner_tree(
+        instance, list(solution or ()), objective, original=True, tol=tol, subject="serve:stp"
+    )
+
+
+def _check_misdp(instance: Any, solution: Any, objective: float, tol: float) -> CheckReport:
+    y = None if solution is None else np.asarray(solution, dtype=float)
+    return check_misdp_solution(instance, y, objective, tol=tol, subject="serve:misdp")
+
+
+# -- the per-kind table ---------------------------------------------------------
+
+
+def _unchanged(_instance: Any, _labeling: list[int] | None, solution: Any) -> Any:
+    return solution
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """Everything the serving layer does differently for one job kind.
+
+    ``sense`` maps the base solver's internal minimisation values onto
+    the problem's natural sense, in which answers are served: +1 for
+    min-cost STP, -1 for sup ``b'y`` MISDP.  ``canonical`` returns an
+    isomorphism-invariant (certificate, vertex labeling) or None, in
+    which case the ``structure`` document is fingerprinted instead;
+    ``to_cache``/``from_cache`` translate a served solution into the
+    cache's form and back into a query's own ids (None: untranslatable).
     """
-    if kind == "stp":
-        canon = stp_canonical_labeling(instance)
-        if canon is not None:
-            cert, labeling = canon
-            digest = hashlib.sha256(b"stp-canon:" + cert).hexdigest()
-            return digest, list(labeling)
-    return instance_fingerprint(kind, instance, _structural=True), None
+
+    generators: dict[str, Callable[..., Any]]
+    parse: Callable[[str], Any] | None  # literal payload ``{kind: text}``
+    plugins: Callable[[], UserPlugins]
+    sense: float
+    served_solution: Callable[[Any], Any]  # incumbent payload -> served solution
+    check: Callable[[Any, Any, float, float], CheckReport]  # instance, solution, objective, tol
+    canonical: Callable[[Any], Any]
+    structure: Callable[[Any], dict[str, Any]]
+    to_cache: Callable[[Any, list[int] | None, Any], Any] = _unchanged
+    from_cache: Callable[[Any, list[int] | None, Any], Any] = _unchanged
 
 
-def instance_fingerprint(kind: str, instance: Any, _structural: bool = False) -> str:
-    """Canonical content hash of a parsed instance.
+KINDS: dict[str, JobKind] = {
+    "stp": JobKind(
+        generators={"hypercube": hypercube_instance, "grid": grid_instance, "random": random_instance},
+        parse=parse_stp,
+        plugins=SteinerUserPlugins,
+        sense=1.0,
+        served_solution=lambda p: list(p.get("edges", [])) if isinstance(p, dict) else None,
+        check=_check_stp,
+        canonical=stp_canonical_labeling,
+        structure=_stp_structure,
+        to_cache=_stp_to_cache,
+        from_cache=_stp_from_cache,
+    ),
+    "misdp": JobKind(
+        generators={
+            "truss": truss_topology_design,
+            "cardls": cardinality_least_squares,
+            "partition": min_k_partitioning,
+        },
+        parse=None,
+        plugins=MISDPUserPlugins,
+        sense=-1.0,
+        served_solution=lambda p: None if p is None else [float(v) for v in p],
+        check=_check_misdp,
+        canonical=lambda _instance: None,
+        structure=_misdp_structure,
+    ),
+}
+
+
+# -- instance construction and fingerprint --------------------------------------
+
+
+def build_instance(request: JobRequest) -> Any:
+    """Turn a request payload into a solver-ready instance object."""
+    payload = request.payload
+    kind = KINDS[request.kind]
+    if kind.parse is not None and request.kind in payload:
+        try:
+            return kind.parse(str(payload[request.kind]))
+        except Exception as exc:
+            raise InvalidJobError(f"cannot parse {request.kind.upper()} payload: {exc}") from exc
+    name = str(payload.get("generator", ""))
+    gen = kind.generators.get(name)
+    if gen is None:
+        raise InvalidJobError(
+            f"unknown {request.kind} generator {name!r}; choose from {sorted(kind.generators)}"
+        )
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidJobError("generator params must be an object")
+    try:
+        return gen(**params)
+    except TypeError as exc:
+        raise InvalidJobError(f"bad params for generator {name!r}: {exc}") from exc
+    except Exception as exc:
+        raise InvalidJobError(f"generator {name!r} failed: {exc}") from exc
+
+
+def instance_cache_key(kind: str, instance: Any) -> tuple[str, list[int] | None]:
+    """Canonical content hash of a parsed instance, plus its labeling.
 
     Two requests describing the same mathematical instance — whether
-    shipped as literal STP text or as a generator spec — hash equal, so
-    the cache serves repeat queries instantly.  For STP the hash is
-    additionally *isomorphism-invariant*: the instance is canonically
-    labeled first (:func:`stp_canonical_labeling`), so a vertex-relabeled
-    copy of a cached instance is still a cache hit.  MISDP instances —
-    and STP instances whose canonical search exhausts its budget — use a
+    shipped as literal text or as a generator spec — hash equal, so the
+    cache serves repeat queries instantly.  For STP the hash is also
+    *isomorphism-invariant*: the instance is canonically labeled first
+    (:func:`stp_canonical_labeling`), so a vertex-relabeled copy of a
+    cached instance is still a hit, and the returned labeling translates
+    cached solutions into the query's edge ids.  MISDP instances — and
+    STP instances whose canonical search exhausts its budget — hash a
     structural encoding (sorted edge/terminal lists, full matrix
-    entries), which is formatting-independent but labeling-sensitive.
+    entries), formatting-independent but labeling-sensitive; their
+    labeling is ``None``.
     """
-    if kind == "stp":
-        if not _structural:
-            canon = stp_canonical_labeling(instance)
-            if canon is not None:
-                return hashlib.sha256(b"stp-canon:" + canon[0]).hexdigest()
-        doc = {
-            "n": int(instance.n),
-            "terminals": sorted(int(t) for t in instance.terminals),
-            "edges": sorted(
-                (min(int(e.u), int(e.v)), max(int(e.u), int(e.v)), float(e.cost))
-                for e in instance.edges
-                if e.alive
-            ),
-        }
-    else:  # misdp
-        doc = {
-            "b": [float(x) for x in instance.b],
-            "lb": [float(x) for x in instance.lb],
-            "ub": [float(x) for x in instance.ub],
-            "integers": sorted(int(i) for i in instance.integers),
-            "blocks": [
-                {
-                    "C": [[float(x) for x in row] for row in blk.C],
-                    "coefs": {
-                        str(i): [[float(x) for x in row] for row in A]
-                        for i, A in sorted(blk.coefs.items())
-                    },
-                }
-                for blk in instance.blocks
-            ],
-            "rows": [
-                {
-                    "coefs": {str(i): float(c) for i, c in sorted(row.coefs.items())},
-                    "lhs": _enc(row.lhs),
-                    "rhs": _enc(row.rhs),
-                }
-                for row in instance.linear_rows
-            ],
-        }
-    blob = json.dumps({"kind": kind, "doc": doc}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _enc(x: float) -> float | str:
-    return ("inf" if x > 0 else "-inf") if math.isinf(x) else float(x)
+    canon = KINDS[kind].canonical(instance)
+    if canon is not None:
+        cert, labeling = canon
+        return hashlib.sha256(f"{kind}-canon:".encode() + cert).hexdigest(), list(labeling)
+    blob = canonical_json({"kind": kind, "doc": KINDS[kind].structure(instance)})
+    return hashlib.sha256(blob).hexdigest(), None
 
 
 # -- solving --------------------------------------------------------------------
@@ -283,19 +320,9 @@ def solve_job(
     engine's wall-clock limit so expiry degrades the run (incumbent +
     bound survive) instead of killing it.
     """
-    if request.kind == "stp":
-        from repro.apps.stp_plugins import SteinerUserPlugins
-
-        plugins: Any = SteinerUserPlugins()
-        work_instance = instance.copy()
-    else:
-        from repro.apps.misdp_plugins import MISDPUserPlugins
-
-        plugins = MISDPUserPlugins()
-        work_instance = instance
     solver = ug(
-        work_instance,
-        plugins,
+        instance,
+        KINDS[request.kind].plugins(),
         n_solvers=request.n_solvers,
         comm=engine,
         config=build_config(request),
@@ -323,46 +350,24 @@ def verify_certificate(
 
     ``objective``/``bound`` are in the problem's natural sense (min cost
     for STP, sup ``b'y`` for MISDP).  Checks: solution validity +
-    objective recomputation (via the PR-4 checkers), weak duality, and —
+    objective recomputation (via the repro.verify checkers), weak duality, and —
     when ``solved`` is claimed — gap closure within ``gap_slack`` (the
     run's objective epsilon; integral instances legitimately stop with
     the bounds one unit apart).
     """
-    if kind == "stp":
-        from repro.verify.steiner import check_steiner_tree
-
-        report = check_steiner_tree(
-            instance, list(solution or ()), objective, original=True, tol=tol, subject="serve:stp"
+    sense = KINDS[kind].sense
+    report = KINDS[kind].check(instance, solution, objective, tol)
+    scale = max(1.0, abs(objective))
+    if math.isfinite(bound):
+        # weak duality in the natural sense: lower <= upper
+        lower, upper = (bound, objective) if sense > 0 else (objective, bound)
+        report.add(
+            "weak_duality",
+            lower <= upper + tol * scale,
+            f"bound {bound:.9g} and objective {objective:.9g} violate weak duality",
         )
-        scale = max(1.0, abs(objective))
-        if math.isfinite(bound):
-            report.add(
-                "weak_duality",
-                bound <= objective + tol * scale,
-                f"dual {bound:.9g} exceeds primal {objective:.9g}",
-            )
-        primal, dual = objective, bound
-    else:
-        import numpy as np
-
-        from repro.verify.sdp import check_misdp_solution
-
-        report = check_misdp_solution(
-            instance,
-            None if solution is None else np.asarray(solution, dtype=float),
-            objective,
-            tol=tol,
-            subject="serve:misdp",
-        )
-        scale = max(1.0, abs(objective))
-        if math.isfinite(bound):
-            report.add(
-                "weak_duality",
-                objective <= bound + tol * scale,
-                f"objective {objective:.9g} above upper bound {bound:.9g}",
-            )
-        # gap closure below works on the min-sense pair
-        primal, dual = -objective, -bound
+    # gap closure below works on the min-sense pair
+    primal, dual = sense * objective, sense * bound
     if solved:
         closed = (
             math.isfinite(dual)
@@ -400,16 +405,11 @@ def outcome_from_result(
             ),
             None,
         )
-    if request.kind == "stp":
-        solution = list(inc.payload.get("edges", [])) if isinstance(inc.payload, dict) else None
-        objective = float(inc.value)
-        bound = float(result.dual_bound)
-        gap = _gap(inc.value, result.dual_bound)
-    else:
-        solution = None if inc.payload is None else [float(v) for v in inc.payload]
-        objective = -float(inc.value)  # sup sense
-        bound = -float(result.dual_bound)  # upper bound in sup sense
-        gap = _gap(inc.value, result.dual_bound)
+    kind = KINDS[request.kind]
+    solution = kind.served_solution(inc.payload)
+    objective = kind.sense * float(inc.value)
+    bound = kind.sense * float(result.dual_bound)
+    gap = _gap(inc.value, result.dual_bound)
     gap_slack = request.objective_epsilon or 0.0
     report = verify_certificate(
         request.kind,

@@ -29,7 +29,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.serve.jobs import JobRecord, QueueFullError, QuotaExceededError
 
@@ -102,10 +102,6 @@ class FairShareScheduler:
     @property
     def active_total(self) -> int:
         return sum(self._active.values())
-
-    def pending_jobs(self) -> Iterator[JobRecord]:
-        for q in self._queues.values():
-            yield from q
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Per-tenant queue/active/deficit view for the stats endpoint."""

@@ -324,9 +324,6 @@ class SteinerGraph:
         )
         return g
 
-    def total_cost(self, edge_ids: list[int]) -> float:
-        return sum(self.edges[e].cost for e in edge_ids)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SteinerGraph(|V|={self.num_alive_vertices}, |E|={self.num_alive_edges}, "

@@ -165,6 +165,8 @@ def random_instance(n: int, m: int, n_terminals: int, seed: int = 0, max_cost: i
     """Connected Erdos–Renyi-style instance with integer costs."""
     if m < n - 1:
         raise GraphError("need m >= n - 1 for connectivity")
+    if m > n * (n - 1) // 2:
+        raise GraphError(f"a simple graph on {n} vertices has at most {n * (n - 1) // 2} edges, not {m}")
     rng = make_rng(seed)
     g = SteinerGraph.create(n)
     seen: set[tuple[int, int]] = set()

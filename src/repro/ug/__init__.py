@@ -36,7 +36,7 @@ Naming follows the paper: an instantiated solver is
 from repro.ug.para_node import ParaNode
 from repro.ug.para_solution import ParaSolution
 from repro.ug.messages import Message, MessageTag, SeqStamper
-from repro.ug.user_plugins import SolverHandle, HandleStep, UserPlugins
+from repro.ug.user_plugins import CIPHandle, SolverHandle, HandleStep, UserPlugins
 from repro.ug.instantiation import UGSolver, UGResult, ug
 from repro.ug.statistics import UGStatistics
 from repro.ug.cluster import ClusterEvent, ClusterPlan, ClusterSupervisor, RankWatchdog, RestartPolicy
@@ -57,6 +57,7 @@ __all__ = [
     "MessageTag",
     "SeqStamper",
     "SolverHandle",
+    "CIPHandle",
     "HandleStep",
     "UserPlugins",
     "UGSolver",

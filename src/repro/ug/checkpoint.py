@@ -17,7 +17,6 @@ the newest valid backup when the primary is truncated or corrupted.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import zlib
@@ -27,10 +26,11 @@ from pathlib import Path
 from repro.exceptions import CheckpointError
 from repro.ug.para_node import ParaNode
 from repro.ug.para_solution import ParaSolution
+from repro.utils.records import canonical_json, decode_float, encode_float
 
 _FORMAT_VERSION = 1
 _CRC_KEY = "crc32"
-# meta floats that may be +-inf and therefore travel through _encode_float
+# meta floats that may be +-inf and therefore travel through encode_float
 _META_FLOAT_KEYS = ("incumbent_value", "dual_bound")
 
 
@@ -45,23 +45,6 @@ class Checkpoint:
     recovered: bool = False
     #: CheckpointError messages for every candidate that failed to load
     errors: list[str] = field(default_factory=list)
-
-
-def _encode_float(x: float) -> float | str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
-def _decode_float(x: float | str) -> float:
-    if isinstance(x, str):
-        return math.inf if x == "inf" else -math.inf
-    return float(x)
-
-
-def _canonical(doc: dict) -> bytes:
-    """Stable serialization used both for the CRC and the file body."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 
 def backup_path(path: str | os.PathLike, k: int) -> Path:
@@ -119,7 +102,7 @@ def save_checkpoint(
     doc = {
         "version": _FORMAT_VERSION,
         "nodes": [
-            {**n.to_json(), "dual_bound": _encode_float(n.dual_bound)} for n in nodes
+            {**n.to_json(), "dual_bound": encode_float(n.dual_bound)} for n in nodes
         ],
         "incumbent": None if incumbent is None else incumbent.to_json(),
         "meta": {
@@ -134,15 +117,15 @@ def save_checkpoint(
         extra = dict(meta)
         for key in _META_FLOAT_KEYS:
             if key in extra and isinstance(extra[key], float):
-                extra[key] = _encode_float(extra[key])
+                extra[key] = encode_float(extra[key])
         doc["meta"].update(extra)
-    doc[_CRC_KEY] = zlib.crc32(_canonical({k: v for k, v in doc.items() if k != _CRC_KEY}))
+    doc[_CRC_KEY] = zlib.crc32(canonical_json({k: v for k, v in doc.items() if k != _CRC_KEY}))
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_canonical(doc))
+            fh.write(canonical_json(doc))
             fh.flush()
             os.fsync(fh.fileno())
         _rotate_backups(target, retain)
@@ -170,7 +153,7 @@ def _load_one(path: Path) -> Checkpoint:
         raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r}")
     if _CRC_KEY in doc:  # legacy files without a checksum still load
         expected = doc[_CRC_KEY]
-        actual = zlib.crc32(_canonical({k: v for k, v in doc.items() if k != _CRC_KEY}))
+        actual = zlib.crc32(canonical_json({k: v for k, v in doc.items() if k != _CRC_KEY}))
         if expected != actual:
             raise CheckpointError(
                 f"checkpoint {path} failed its CRC32 check (stored {expected}, computed {actual})"
@@ -179,7 +162,7 @@ def _load_one(path: Path) -> Checkpoint:
         nodes = []
         for obj in doc["nodes"]:
             obj = dict(obj)
-            obj["dual_bound"] = _decode_float(obj["dual_bound"])
+            obj["dual_bound"] = decode_float(obj["dual_bound"])
             nodes.append(ParaNode.from_json(obj))
         incumbent = None if doc["incumbent"] is None else ParaSolution.from_json(doc["incumbent"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -187,7 +170,7 @@ def _load_one(path: Path) -> Checkpoint:
     meta = dict(doc.get("meta", {}))
     for key in _META_FLOAT_KEYS:
         if key in meta and meta[key] is not None:
-            meta[key] = _decode_float(meta[key])
+            meta[key] = decode_float(meta[key])
     return Checkpoint(nodes, incumbent, meta, source=str(path))
 
 

@@ -51,3 +51,25 @@ def test_combined_claim():
     # "the additional effort needed to parallelize their sequential
     # versions is less than 200 lines of code" — per application
     assert max(total_stp, total_misdp) < 200
+
+
+def test_presolve_settled_subproblem_reports_its_tree_once():
+    """A subproblem the second presolve layer settles has no CIP: the
+    handle's first step finishes with the presolve tree (original edge
+    ids) and there is no open node to shed."""
+    from repro.cip.params import ParamSet
+    from repro.steiner.instances import grid_instance
+    from repro.verify.steiner import check_steiner_tree
+
+    graph = grid_instance(2, 3, 3, seed=5)
+    plugins = stp_mod.SteinerUserPlugins()
+    params = ParamSet()
+    presolved = plugins.presolve_instance(graph, params, 0)
+    handle = plugins.create_handle(presolved, plugins.root_para_node(presolved), params, 0, None)
+    step = handle.step()
+    assert step.finished and step.status == "optimal"
+    [solution] = step.solutions
+    assert solution.payload["edges"] == sorted(set(presolved.fixed_edges))
+    assert solution.value == presolved.fixed_cost
+    assert check_steiner_tree(graph, solution.payload["edges"], solution.value).ok
+    assert handle.extract_para_node() is None

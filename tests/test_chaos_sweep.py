@@ -56,8 +56,8 @@ class ChaosSteinerPlugins(SteinerUserPlugins):
 
     def create_handle(self, instance, node, params, seed, incumbent):
         handle = super().create_handle(instance, node, params, seed, incumbent)
-        if handle.solver.cip is not None:
-            handle.solver.cip.include_heuristic(ChaosHeuristic())
+        if handle.cip is not None:
+            handle.cip.include_heuristic(ChaosHeuristic())
         return handle
 
 

@@ -23,9 +23,10 @@ from repro.instances import (
     verify_roundtrip,
 )
 from repro.instances.misdp import anchor_point
-from repro.instances.stp import _connected
+from repro.instances.stp import _connected, orlib_random
 from repro.instances.__main__ import main as instances_cli
 from repro.steiner.graph import SteinerGraph
+from repro.steiner.instances import random_instance
 from repro.steiner.stp_io import parse_stp, write_stp
 
 pytestmark = pytest.mark.fast
@@ -118,6 +119,14 @@ class TestRegistry:
                 g = gi.instance
                 nonterms = g.num_alive_vertices - g.num_terminals
                 assert nonterms <= 8, f"{gi.name} too large for subset enumeration"
+
+
+@pytest.mark.parametrize("generator", [orlib_random, random_instance])
+def test_random_generators_refuse_more_edges_than_a_simple_graph_holds(generator):
+    # used to loop forever drawing edges that cannot exist
+    with pytest.raises(GraphError, match="at most 3 edges"):
+        generator(3, 10, 2)
+    assert len(generator(3, 3, 2).edges) == 3
 
 
 class TestParserSymmetry:

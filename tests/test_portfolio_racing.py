@@ -237,8 +237,8 @@ class QuarantinePlugins(SteinerUserPlugins):
 
     def create_handle(self, instance, node, params, seed, incumbent):
         handle = super().create_handle(instance, node, params, seed, incumbent)
-        if handle.solver.cip is not None:
-            handle.solver.cip.include_heuristic(CrashingHeuristic())
+        if handle.cip is not None:
+            handle.cip.include_heuristic(CrashingHeuristic())
         return handle
 
     def racing_param_sets(self, n: int, base: ParamSet) -> list[ParamSet]:

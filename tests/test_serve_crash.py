@@ -122,6 +122,9 @@ def test_kill9_smoke(tmp_path):
             assert final["state"] == "degraded"
             assert final["outcome"]["certified"] is True
             assert final["outcome"]["attempts"] == 2  # one per daemon life
+            # the requeued job's cache key was computed when its instance
+            # was rebuilt, so its certified answer is cached like any other
+            assert client.stats()["serve"]["cache_inserts"] == 1
             client.shutdown()
         proc2.wait(timeout=15)
     finally:

@@ -76,6 +76,20 @@ def test_unknown_job_and_invalid_request_are_typed(tmp_path):
             assert daemon.stats.jobs_rejected_invalid == 4
 
 
+def test_impossible_generator_request_is_rejected_without_hanging(tmp_path):
+    """More edges than a simple graph holds is a typed rejection; the
+    generator used to loop forever on the daemon's event loop."""
+    request = {
+        "kind": "stp",
+        "payload": {"generator": "random", "params": {"n": 3, "m": 10, "n_terminals": 2}},
+    }
+    with daemon_in_thread(config(tmp_path)) as daemon:
+        with ServeClient(port=daemon.port, timeout=5.0) as client:
+            with pytest.raises(InvalidJobError, match="at most 3 edges"):
+                client.submit(request)
+            assert client.ping()["pong"] is True
+
+
 def test_cancel_racing_completion_is_noop(tmp_path):
     """Cancelling after the job finished must not disturb the outcome."""
     with daemon_in_thread(config(tmp_path)) as daemon:
@@ -363,6 +377,48 @@ def test_relabeled_isomorphic_instance_hits_cache_with_translated_solution(tmp_p
             report = check_steiner_tree(twin, outcome.solution, outcome.objective)
             assert report.ok, report
             assert outcome.objective == pytest.approx(done["outcome"]["objective"])
+
+
+PARTITION = {"generator": "partition", "params": {"n": 5, "k": 2, "seed": 1}}
+
+
+def test_misdp_job_is_certified_and_cached(tmp_path):
+    """A MISDP job through the daemon: certified optimum equal to the
+    sequential solver's (in the sup sense), then a cache hit."""
+    from repro.sdp.instances import min_k_partitioning
+    from repro.sdp.solver import MISDPSolver
+
+    reference = MISDPSolver(min_k_partitioning(**PARTITION["params"])).solve()
+    with daemon_in_thread(config(tmp_path)) as daemon:
+        with ServeClient(port=daemon.port) as client:
+            first = client.submit(JobRequest(kind="misdp", payload=PARTITION))
+            done = client.wait(first["job_id"], timeout=60)
+            out = done["outcome"]
+            assert done["state"] == "succeeded"
+            assert out["certified"] and out["solved"] and out["checks"]["failed"] == 0
+            assert out["objective"] == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
+            repeat = client.submit(JobRequest(kind="misdp", payload=PARTITION))
+            assert repeat["state"] == "succeeded"
+            assert repeat["outcome"]["from_cache"] is True
+            served = daemon.jobs[first["job_id"]].outcome
+            cached = daemon.jobs[repeat["job_id"]].outcome
+            assert (cached.objective, cached.bound, cached.solution) == (
+                served.objective, served.bound, served.solution
+            )
+
+
+def test_node_limited_misdp_job_degrades_with_certified_bound(tmp_path):
+    # PARTITION closes in one UG node; this sibling needs more than five
+    payload = {"generator": "partition", "params": {"n": 5, "k": 2, "seed": 0}}
+    with daemon_in_thread(config(tmp_path)) as daemon:
+        with ServeClient(port=daemon.port) as client:
+            view = client.submit(JobRequest(kind="misdp", payload=payload, node_limit=5))
+            final = client.wait(view["job_id"], timeout=60)
+            out = final["outcome"]
+            assert final["state"] == "degraded"
+            assert out["certified"] and not out["solved"]
+            # sup sense: the dual bound is an upper bound on b'y
+            assert out["bound"] >= out["objective"]
 
 
 def test_stream_yields_events_then_terminal_view(tmp_path):

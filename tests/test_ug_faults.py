@@ -65,12 +65,6 @@ class CountdownHandle(SolverHandle):
     def inject_incumbent_value(self, value: float) -> None:
         pass
 
-    def dual_bound(self) -> float:
-        return self.value - 1.0
-
-    def n_open(self) -> int:
-        return self.remaining
-
 
 class CountdownPlugins(UserPlugins):
     base_solver_name = "Countdown"

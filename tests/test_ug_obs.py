@@ -61,12 +61,6 @@ class CountdownHandle(SolverHandle):
     def inject_incumbent_value(self, value: float) -> None:
         pass
 
-    def dual_bound(self) -> float:
-        return self.value - 1.0
-
-    def n_open(self) -> int:
-        return self.remaining
-
 
 class CountdownPlugins(UserPlugins):
     base_solver_name = "Countdown"
@@ -425,12 +419,6 @@ class TestObjectiveEpsilon:
 
                     def inject_incumbent_value(self_h, value):
                         pass
-
-                    def dual_bound(self_h):
-                        return 0.0
-
-                    def n_open(self_h):
-                        return len(script)
 
                 return H()
 

@@ -30,12 +30,6 @@ class ScriptedHandle(SolverHandle):
     def inject_incumbent_value(self, value: float) -> None:
         self.injected.append(value)
 
-    def dual_bound(self) -> float:
-        return 0.0
-
-    def n_open(self) -> int:
-        return len(self.script)
-
 
 class ScriptedPlugins(UserPlugins):
     base_solver_name = "Scripted"
