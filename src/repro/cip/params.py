@@ -48,22 +48,6 @@ class ParamSet:
     # entry) against each other.
     plugin_whitelists: dict[str, tuple[str, ...]] | None = None
 
-    # -- modern kernel features (all default OFF: the classical kernel
-    # -- stays byte-identical; the "modern" emphasis preset enables them)
-    # conflict analysis: learn no-good constraints from infeasible
-    # propagations/LPs (1-FUIP-style over the bound-change trail)
-    conflict_analysis: bool = False
-    # symmetry handling: "off" or "orbital" (orbital fixing during
-    # propagation)
-    symmetry_mode: str = "off"
-    # estimation-driven restarts: discard the tree and restart from the
-    # root (keeping incumbent, cuts, learned conflicts and root bound)
-    # when tree-size estimation says the current tree is blowing up
-    restarts: bool = False
-    restart_min_nodes: int = 100  # never restart before this many nodes
-    # trigger when estimated remaining nodes >= factor * nodes processed
-    restart_node_factor: float = 4.0
-
     # robustness: quarantine a non-essential plugin after this many
     # failed callbacks (SCIP-style "disabled for the rest of the solve")
     plugin_max_failures: int = 3
@@ -93,8 +77,6 @@ class ParamSet:
     def _validate(self) -> None:
         from repro.cip.registry import WHITELISTABLE_KINDS, validate_plugin_names
 
-        if self.symmetry_mode not in ("off", "orbital"):
-            raise ModelError(f"unknown symmetry_mode {self.symmetry_mode!r}; choose off or orbital")
         if self.plugin_whitelists:
             for kind, names in self.plugin_whitelists.items():
                 if kind not in WHITELISTABLE_KINDS:
@@ -104,8 +86,6 @@ class ParamSet:
                     )
                 if names:
                     validate_plugin_names(names, f"plugin_whitelists[{kind!r}]")
-        if self.restart_min_nodes < 1 or self.restart_node_factor <= 0:
-            raise ModelError("restart parameters out of range")
 
     def whitelist_for(self, kind: str) -> tuple[str, ...] | None:
         """Effective whitelist for one plugin kind (None = unrestricted)."""
@@ -189,26 +169,12 @@ def _emphasis_optimality() -> ParamSet:
     )
 
 
-def _emphasis_modern() -> ParamSet:
-    """The modern-kernel preset: conflict analysis, orbital fixing and
-    estimation-driven restarts on (SCIP Suite 8–10 feature set). The
-    classical presets keep these off so historical runs stay
-    byte-identical."""
-    return ParamSet(
-        emphasis="modern",
-        conflict_analysis=True,
-        symmetry_mode="orbital",
-        restarts=True,
-    )
-
-
 EMPHASIS_PRESETS = {
     "default": _emphasis_default,
     "easycip": _emphasis_easycip,
     "aggressive": _emphasis_aggressive,
     "feasibility": _emphasis_feasibility,
     "optimality": _emphasis_optimality,
-    "modern": _emphasis_modern,
 }
 
 

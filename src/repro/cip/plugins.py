@@ -51,14 +51,10 @@ class PropagationStatus(enum.Enum):
 
 @dataclass
 class PropagationResult:
-    """``conflict`` (only meaningful with INFEASIBLE status) names the
-    variable indices whose current local bounds witnessed the
-    infeasibility — the seed set conflict analysis resolves backwards
-    from.  Empty means the propagator cannot localize the cause."""
+    """Outcome of one propagation call (status + bound tightenings)."""
 
     status: PropagationStatus = PropagationStatus.UNCHANGED
     tightenings: int = 0
-    conflict: tuple[int, ...] = ()
 
 
 class RelaxationStatus(enum.Enum):

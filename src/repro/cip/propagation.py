@@ -25,14 +25,13 @@ class IntegralityPropagator(Propagator):
         for j in solver.model.integer_indices:
             lo, hi = solver.local_bounds(j)
             new_lo, new_hi = math.ceil(lo - solver.tol.integrality), math.floor(hi + solver.tol.integrality)
-            # the snapped bound is implied by the variable's own prior bound
-            if new_lo > lo + solver.tol.eps and solver.tighten_lb(j, float(new_lo), reason=(j,)):
+            if new_lo > lo + solver.tol.eps and solver.tighten_lb(j, float(new_lo)):
                 tightened += 1
-            if new_hi < hi - solver.tol.eps and solver.tighten_ub(j, float(new_hi), reason=(j,)):
+            if new_hi < hi - solver.tol.eps and solver.tighten_ub(j, float(new_hi)):
                 tightened += 1
             lo, hi = solver.local_bounds(j)
             if lo > hi + solver.tol.feas:
-                return PropagationResult(PropagationStatus.INFEASIBLE, conflict=(j,))
+                return PropagationResult(PropagationStatus.INFEASIBLE)
         status = PropagationStatus.REDUCED if tightened else PropagationStatus.UNCHANGED
         return PropagationResult(status, tightened)
 
@@ -61,15 +60,11 @@ class LinearActivityPropagator(Propagator):
                 else:
                     min_act += a * hi
                     max_act += a * lo
-            row_vars = tuple(j for j, _ in items)
             if min_act > cons.rhs + solver.tol.feas or max_act < cons.lhs - solver.tol.feas:
-                return PropagationResult(PropagationStatus.INFEASIBLE, conflict=row_vars)
+                return PropagationResult(PropagationStatus.INFEASIBLE)
             for j, a in items:
                 if abs(a) < solver.tol.eps:
                     continue
-                # the implied bound follows from the *other* variables'
-                # bounds through this (globally valid) row
-                reason = tuple(r for r in row_vars if r != j)
                 lo, hi = solver.local_bounds(j)
                 contrib_min = a * lo if a >= 0 else a * hi
                 contrib_max = a * hi if a >= 0 else a * lo
@@ -77,15 +72,15 @@ class LinearActivityPropagator(Propagator):
                 resid_max = max_act - contrib_max
                 if not math.isinf(cons.rhs) and not math.isinf(resid_min):
                     limit = (cons.rhs - resid_min) / a
-                    if a > 0 and solver.tighten_ub(j, limit, reason=reason):
+                    if a > 0 and solver.tighten_ub(j, limit):
                         tightened += 1
-                    elif a < 0 and solver.tighten_lb(j, limit, reason=reason):
+                    elif a < 0 and solver.tighten_lb(j, limit):
                         tightened += 1
                 if not math.isinf(cons.lhs) and not math.isinf(resid_max):
                     limit = (cons.lhs - resid_max) / a
-                    if a > 0 and solver.tighten_lb(j, limit, reason=reason):
+                    if a > 0 and solver.tighten_lb(j, limit):
                         tightened += 1
-                    elif a < 0 and solver.tighten_ub(j, limit, reason=reason):
+                    elif a < 0 and solver.tighten_ub(j, limit):
                         tightened += 1
         status = PropagationStatus.REDUCED if tightened else PropagationStatus.UNCHANGED
         return PropagationResult(status, tightened)

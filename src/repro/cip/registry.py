@@ -1,19 +1,15 @@
 """Ordered plugin registry — the refactored spine of the CIP kernel.
 
 Historically :class:`~repro.cip.solver.CIPSolver` held one plain python
-list per plugin kind.  That shape cannot express what a modern kernel
-needs: deterministic ordering with *position hooks* (a conflict-pool
-propagator must consult learned clauses before the generic propagators
-re-derive them), per-kind whitelists that UG racing varies per rank, and
+list per plugin kind.  The registry adds what that shape could not
+express: per-kind whitelists that UG racing varies per rank, and
 quarantine-aware iteration so containment lives in one place instead of
 at every call site.
 
 The registry stores, per kind, an ordered list of entries sorted by
-``(position, -priority, registration tick)`` — ``position="front"``
-entries run before everything, ``"back"`` after everything, and plain
-registrations order by plugin priority with registration order as the
-deterministic tie-break (matching the old ``sort(key=-priority)``
-stable-sort behaviour exactly).
+``(-priority, registration tick)``: plugins order by priority with
+registration order as the deterministic tie-break (matching the old
+``sort(key=-priority)`` stable-sort behaviour exactly).
 
 The module also owns the **plugin-name catalog**: every concrete
 :class:`~repro.cip.plugins.Plugin` subclass that declares a ``name``
@@ -52,8 +48,6 @@ PLUGIN_KINDS = (
 #: what problem is being solved.
 WHITELISTABLE_KINDS = ("presolver", "propagator", "separator", "heuristic", "branching", "event")
 
-_POSITION_RANK = {"front": 0, None: 1, "back": 2}
-
 
 # -- plugin-name catalog ----------------------------------------------------
 
@@ -67,8 +61,6 @@ _CATALOG_MODULES = (
     "repro.cip.propagation",
     "repro.cip.branching",
     "repro.cip.heuristics",
-    "repro.cip.conflict",
-    "repro.cip.symmetry",
     "repro.steiner.branching",
     "repro.steiner.solver",
     "repro.steiner.separators",
@@ -131,11 +123,10 @@ def validate_plugin_names(names: Iterable[str], where: str) -> None:
 @dataclass
 class _Entry:
     plugin: "Plugin"
-    position: str | None
     tick: int
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (_POSITION_RANK[self.position], -self.plugin.priority, self.tick)
+    def sort_key(self) -> tuple[int, int]:
+        return (-self.plugin.priority, self.tick)
 
 
 class PluginRegistry:
@@ -150,18 +141,16 @@ class PluginRegistry:
         if kind not in PLUGIN_KINDS:
             raise PluginError(f"unknown plugin kind {kind!r}; choose from {PLUGIN_KINDS}")
 
-    def register(self, kind: str, plugin: "Plugin", position: str | None = None) -> None:
-        """Add one plugin; ordering is (position, -priority, arrival)."""
+    def register(self, kind: str, plugin: "Plugin") -> None:
+        """Add one plugin; ordering is (-priority, arrival)."""
         self._check_kind(kind)
-        if position not in _POSITION_RANK:
-            raise PluginError(f"unknown position {position!r}; use 'front', 'back' or None")
         entries = self._entries[kind]
         if any(e.plugin.name == plugin.name for e in entries):
             raise PluginError(f"plugin {plugin.name!r} registered twice")
         if kind == "relaxator" and entries:
             raise PluginError("a relaxator is already installed")
         note_plugin_name(getattr(plugin, "name", None))
-        entries.append(_Entry(plugin, position, self._tick))
+        entries.append(_Entry(plugin, self._tick))
         self._tick += 1
         entries.sort(key=_Entry.sort_key)
 

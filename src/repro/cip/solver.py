@@ -23,9 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.cip.conflict import ConflictAnalyzer, ConflictPropagator
 from repro.cip.cutpool import CutPool
-from repro.cip.estimate import MAX_RESTARTS, RestartManager, TreeSizeEstimator
 from repro.cip.model import Model
 from repro.cip.node import Node
 from repro.cip.params import ParamSet
@@ -47,7 +45,6 @@ from repro.cip.plugins import (
 from repro.cip.quarantine import EssentialPluginFailure, PluginQuarantine
 from repro.cip.registry import PluginRegistry
 from repro.cip.result import SolveResult, SolveStats, SolveStatus, Solution
-from repro.cip.symmetry import OrbitalFixingPropagator, SymmetryInfo, find_generators
 from repro.cip.tree import NodeTree
 from repro.exceptions import PluginError
 from repro.lp import HighsLP, LinearProgram, LPSolution, LPStatus, RobustLPSolver
@@ -108,7 +105,7 @@ class CIPSolver:
         self._robust_lp = RobustLPSolver(self.params.lp_backend)
         # the relaxation kept loaded in HiGHS (lp_backend="highs") and the
         # row objects loaded into it, in order; created at the first solve,
-        # kept across setup() and restarts, dropped when a solve fails
+        # kept across setup() calls, dropped when a solve fails
         self._node_lp: HighsLP | None = None
         self._node_lp_rows: list[Any] = []
         self._degraded: str | None = None  # reason, once an essential plugin failed
@@ -127,47 +124,28 @@ class CIPSolver:
         self._local_ub: np.ndarray | None = None
         self._root_processed = False
 
-        # -- modern kernel subsystems (all inert unless enabled in params)
-        self.conflict: ConflictAnalyzer | None = None
-        if self.params.conflict_analysis:
-            self.conflict = ConflictAnalyzer(model)
-            # front of the propagator order: learned clauses prune before
-            # the arithmetic propagators re-derive the same dead ends
-            self.registry.register("propagator", ConflictPropagator(self.conflict), position="front")
-        self.symmetry: SymmetryInfo | None = None
-        self._symmetry_done = False
-        self.estimator = TreeSizeEstimator()
-        self._restart_mgr = RestartManager(
-            MAX_RESTARTS if self.params.restarts else 0,
-            self.params.restart_min_nodes,
-            self.params.restart_node_factor,
-        )
-        self._nodes_at_tree_start = 0
-        self._root_tightenings: dict[int, tuple[float, float]] = {}
-        self._setup_args: tuple[dict[int, tuple[float, float]], dict[str, Any], float] = ({}, {}, -math.inf)
-
     # -- plugin registration ------------------------------------------------
 
-    def include_presolver(self, p: Presolver, position: str | None = None) -> None:
-        self.registry.register("presolver", p, position)
+    def include_presolver(self, p: Presolver) -> None:
+        self.registry.register("presolver", p)
 
-    def include_propagator(self, p: Propagator, position: str | None = None) -> None:
-        self.registry.register("propagator", p, position)
+    def include_propagator(self, p: Propagator) -> None:
+        self.registry.register("propagator", p)
 
-    def include_separator(self, p: Separator, position: str | None = None) -> None:
-        self.registry.register("separator", p, position)
+    def include_separator(self, p: Separator) -> None:
+        self.registry.register("separator", p)
 
-    def include_heuristic(self, p: Heuristic, position: str | None = None) -> None:
-        self.registry.register("heuristic", p, position)
+    def include_heuristic(self, p: Heuristic) -> None:
+        self.registry.register("heuristic", p)
 
-    def include_branching_rule(self, p: BranchingRule, position: str | None = None) -> None:
-        self.registry.register("branching", p, position)
+    def include_branching_rule(self, p: BranchingRule) -> None:
+        self.registry.register("branching", p)
 
-    def include_constraint_handler(self, p: ConstraintHandler, position: str | None = None) -> None:
-        self.registry.register("conshdlr", p, position)
+    def include_constraint_handler(self, p: ConstraintHandler) -> None:
+        self.registry.register("conshdlr", p)
 
-    def include_event_handler(self, p: EventHandler, position: str | None = None) -> None:
-        self.registry.register("event", p, position)
+    def include_event_handler(self, p: EventHandler) -> None:
+        self.registry.register("event", p)
 
     def set_relaxator(self, r: Relaxator) -> None:
         self.registry.register("relaxator", r)
@@ -387,30 +365,21 @@ class CIPSolver:
         assert self._local_lb is not None and self._local_ub is not None
         return float(self._local_lb[j]), float(self._local_ub[j])
 
-    def tighten_lb(self, j: int, value: float, reason: tuple[int, ...] | None = None) -> bool:
-        """Raise the local lower bound of variable ``j``; True if changed.
-
-        ``reason`` names the variables whose bounds implied this
-        tightening (for conflict analysis); None marks the tightening
-        *opaque* — conflicts needing it as an antecedent are abandoned.
-        """
+    def tighten_lb(self, j: int, value: float) -> bool:
+        """Raise the local lower bound of variable ``j``; True if changed."""
         assert self._local_lb is not None
         if value > self._local_lb[j] + self.tol.eps:
             self._local_lb[j] = value
             self.stats.propagation_tightenings += 1
-            if self.conflict is not None:
-                self.conflict.note_tightening(j, "lb", value, reason)
             return True
         return False
 
-    def tighten_ub(self, j: int, value: float, reason: tuple[int, ...] | None = None) -> bool:
+    def tighten_ub(self, j: int, value: float) -> bool:
         """Lower the local upper bound of variable ``j``; True if changed."""
         assert self._local_ub is not None
         if value < self._local_ub[j] - self.tol.eps:
             self._local_ub[j] = value
             self.stats.propagation_tightenings += 1
-            if self.conflict is not None:
-                self.conflict.note_tightening(j, "ub", value, reason)
             return True
         return False
 
@@ -433,50 +402,14 @@ class CIPSolver:
         """
         if not self._presolved:
             self.presolve()
-        self._setup_symmetry()
-        self._setup_args = (dict(root_bounds or {}), dict(root_local_data or {}), root_estimate)
         self._tree = NodeTree(self.params.node_selection)
         root = Node(0, -1, 0, root_estimate, dict(root_bounds or {}), dict(root_local_data or {}))
         self._node_counter = 1
         self._tree.push(root)
         self.stats.nodes_created += 1  # the root, counted once per tree
         self._root_processed = False
-        self._root_tightenings = {}
-        self._nodes_at_tree_start = self.stats.nodes_processed
-        self.estimator.reset()
         if self.tracer.enabled:
             self._emit("plugin_spec", spec=self.registry.spec())
-
-    def _setup_symmetry(self) -> None:
-        """Detect formulation symmetry once (post-presolve) and install
-        the orbital-fixing propagator.
-
-        Gated to purely linear models: a constraint handler or relaxator
-        owns constraints the variable/constraint graph cannot see, so
-        generators found there would not be model symmetries at all.
-        Detection is deterministic (no RNG), so every rank of a UG run
-        derives the identical generator set — the soundness condition
-        for applying symmetry reductions under racing.
-        """
-        if self.params.symmetry_mode == "off" or self._symmetry_done:
-            return
-        self._symmetry_done = True
-        if self.registry.plugins("conshdlr") or self.relaxator is not None:
-            self._emit("symmetry_skipped", reason="nonlinear_plugins")
-            return
-        info = find_generators(self.model)
-        self.symmetry = info
-        if not info.nontrivial:
-            self._emit("symmetry_skipped", reason="no_generators")
-            return
-        self.registry.register("propagator", OrbitalFixingPropagator(info, self.model))
-        self.stats.bump("symmetry_generators", len(info.generators))
-        self._emit(
-            "symmetry_detected",
-            mode=self.params.symmetry_mode,
-            generators=len(info.generators),
-            orbits=len(info.orbits),
-        )
 
     def n_open(self) -> int:
         return 0 if self._tree is None else len(self._tree)
@@ -519,71 +452,6 @@ class CIPSolver:
             return None
         return self._tree.extract_heaviest()
 
-    # -- estimation-driven restarts -----------------------------------------
-
-    def _capture_root_tightenings(self, root: Node) -> None:
-        """Record globally valid bound tightenings proven at the root.
-
-        A restart re-creates the root with these merged in, so root
-        propagation/conflict/symmetry reductions are not re-derived and — more
-        importantly — are not *lost* when the tree is discarded.
-        """
-        if self._local_lb is None or self._local_ub is None:
-            return
-        tight: dict[int, tuple[float, float]] = {}
-        for j, v in enumerate(self.model.variables):
-            lo0, hi0 = v.lb, v.ub
-            if j in root.bound_changes:
-                slo, shi = root.bound_changes[j]
-                lo0, hi0 = max(lo0, slo), min(hi0, shi)
-            lo, hi = float(self._local_lb[j]), float(self._local_ub[j])
-            if lo > lo0 + self.tol.eps or hi < hi0 - self.tol.eps:
-                tight[j] = (lo, hi)
-        self._root_tightenings = tight
-
-    def _restart(self) -> None:
-        """In-solve root restart: discard the tree, keep the knowledge.
-
-        Carried across the restart: the incumbent, the global cut pool,
-        the learned-conflict pool, root bound tightenings, and the proven
-        global dual bound (installed as the fresh root's lower bound so
-        the reported bound never regresses).  The fresh root reuses node
-        id 0 at depth 0 — the tree auditor treats that as a tree reset,
-        exactly as it does for UG subproblem handoffs.
-        """
-        assert self._tree is not None
-        self._restart_mgr.note_restart()
-        carried_bound = self.dual_bound()
-        root_bounds, root_local_data, root_estimate = self._setup_args
-        merged = dict(root_bounds)
-        for j, (lo, hi) in self._root_tightenings.items():
-            if j in merged:
-                olo, ohi = merged[j]
-                merged[j] = (max(olo, lo), min(ohi, hi))
-            else:
-                merged[j] = (lo, hi)
-        est = root_estimate
-        if math.isfinite(carried_bound):
-            est = max(est, carried_bound)
-        self.stats.bump("restarts")
-        self._emit(
-            "restart",
-            number=self._restart_mgr.done,
-            nodes_processed=self.stats.nodes_processed - self._nodes_at_tree_start,
-            open_nodes=len(self._tree),
-            bound=carried_bound,
-            conflicts=0 if self.conflict is None else len(self.conflict.pool),
-            tightenings=len(self._root_tightenings),
-        )
-        self._tree = NodeTree(self.params.node_selection)
-        root = Node(0, -1, 0, est, merged, dict(root_local_data))
-        self._node_counter = 1
-        self._tree.push(root)
-        self.stats.nodes_created += 1
-        self._root_processed = False
-        self._nodes_at_tree_start = self.stats.nodes_processed
-        self.estimator.reset()
-
     # -- the step API -----------------------------------------------------------
 
     def step(self) -> StepOutcome:
@@ -602,7 +470,6 @@ class CIPSolver:
             node = self._tree.pop()
             if node.lower_bound >= cutoff:
                 self.stats.nodes_pruned += 1
-                self.estimator.observe_leaf(node.depth)
                 self._emit_bb_node(node, node.lower_bound, "pruned_bound", 0, None, cutoff, False)
                 continue
             break
@@ -623,17 +490,12 @@ class CIPSolver:
         self.stats.nodes_processed += 1
         self.stats.total_work += work
         outcome, n_children, sol_value = self._node_outcome
-        if outcome == "branched" and n_children > 0:
-            self.estimator.observe_internal(node.depth)
-        else:
-            self.estimator.observe_leaf(node.depth)
         # cutoff re-read after processing: mid-node incumbents tighten it,
         # and the last prune decision inside the node used the live value
         self._emit_bb_node(node, bound_in, outcome, n_children, sol_value, self.cutoff_bound, True)
         if is_root:
             self.stats.root_work = work
             self.stats.root_bound = self.dual_bound()
-            self._capture_root_tightenings(node)
         if self.incumbent is not incumbent_before:
             new_solution = self.incumbent
 
@@ -647,10 +509,6 @@ class CIPSolver:
             gap = self.tol.rel_gap(self.incumbent.value, self.dual_bound())
             if gap <= self.params.gap_limit:
                 return StepOutcome(True, SolveStatus.GAP_LIMIT, work, new_solution)
-        if self._restart_mgr.should_restart(
-            self.estimator, self.stats.nodes_processed - self._nodes_at_tree_start
-        ):
-            self._restart()
         return StepOutcome(False, SolveStatus.UNKNOWN, work, new_solution)
 
     # -- node processing internals -----------------------------------------
@@ -664,38 +522,7 @@ class CIPSolver:
                 continue
             self._local_lb[j] = max(self._local_lb[j], lo)
             self._local_ub[j] = min(self._local_ub[j], hi)
-        if self.conflict is not None:
-            # conflict learning is sound only at nodes whose infeasibility
-            # proofs use globally valid facts: local rows/data would smuggle
-            # subtree-only constraints into a "global" clause
-            self.conflict.begin_node(node, not node.local_data and not node.local_rows)
-        clashes = np.flatnonzero(self._local_lb > self._local_ub + self.tol.feas)
-        if clashes.size:
-            self._learn_conflict(tuple(int(j) for j in clashes))
-            return False
-        return True
-
-    def _learn_conflict(self, seed: tuple[int, ...]) -> None:
-        """Resolve an infeasibility seed to a learned clause (if sound)."""
-        if self.conflict is None or not seed:
-            return
-        clause = self.conflict.analyze(seed)
-        if clause is not None:
-            self.stats.bump("conflicts_learned")
-            self._emit("conflict_learned", literals=len(clause.lits), source="propagation")
-        else:
-            self.stats.bump("conflicts_abandoned")
-
-    def _learn_lp_conflict(self) -> None:
-        """Learn the all-decision no-good from an exact-LP infeasibility."""
-        if self.conflict is None:
-            return
-        clause = self.conflict.analyze_all_decisions()
-        if clause is not None:
-            self.stats.bump("conflicts_learned")
-            self._emit("conflict_learned", literals=len(clause.lits), source="lp")
-        else:
-            self.stats.bump("conflicts_abandoned")
+        return not np.any(self._local_lb > self._local_ub + self.tol.feas)
 
     def _propagate(self, node: Node) -> PropagationStatus:
         overall = PropagationStatus.UNCHANGED
@@ -706,7 +533,6 @@ class CIPSolver:
                     prop, "propagate", PropagationResult(), lambda p=prop: p.propagate(self, node)
                 )
                 if res.status is PropagationStatus.INFEASIBLE:
-                    self._learn_conflict(res.conflict)
                     return PropagationStatus.INFEASIBLE
                 if res.status is PropagationStatus.REDUCED:
                     changed = True
@@ -715,7 +541,6 @@ class CIPSolver:
                     h, "propagate", PropagationResult(), lambda p=h: p.propagate(self, node)
                 )
                 if res.status is PropagationStatus.INFEASIBLE:
-                    self._learn_conflict(res.conflict)
                     return PropagationStatus.INFEASIBLE
                 if res.status is PropagationStatus.REDUCED:
                     changed = True
@@ -724,9 +549,7 @@ class CIPSolver:
             else:
                 break
             assert self._local_lb is not None and self._local_ub is not None
-            clashes = np.flatnonzero(self._local_lb > self._local_ub + self.tol.feas)
-            if clashes.size:
-                self._learn_conflict(tuple(int(j) for j in clashes))
+            if np.any(self._local_lb > self._local_ub + self.tol.feas):
                 return PropagationStatus.INFEASIBLE
         return overall
 
@@ -757,8 +580,8 @@ class CIPSolver:
         ``[model constraints | cut pool | node.local_rows]``: the longest
         prefix already loaded (same objects, same order) stays, the rest
         of what is loaded is truncated and what is missing is appended —
-        new cuts, a switch of node, pool eviction and restarts are all
-        this one case.
+        new cuts, a switch of node and pool eviction are all this one
+        case.
         """
         assert self._local_lb is not None and self._local_ub is not None
         variables = self.model.variables
@@ -823,9 +646,6 @@ class CIPSolver:
         self.stats.lp_iterations += sol.iterations
         work = WORK_PER_LP_ITER * max(sol.iterations, 1)
         if sol.status is LPStatus.INFEASIBLE:
-            # exact-LP path only: a plugin relaxator's INFEASIBLE answer
-            # may be heuristic, so nothing is learned on that branch above
-            self._learn_lp_conflict()
             return RelaxationResult(RelaxationStatus.INFEASIBLE, math.inf, None, work)
         if sol.status is LPStatus.UNBOUNDED:
             return RelaxationResult(RelaxationStatus.UNBOUNDED, -math.inf, None, work)

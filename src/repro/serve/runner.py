@@ -26,6 +26,7 @@ from repro.apps.misdp_plugins import MISDPUserPlugins
 from repro.apps.stp_plugins import SteinerUserPlugins
 from repro.obs.trace import Tracer
 from repro.sdp.instances import cardinality_least_squares, min_k_partitioning, truss_topology_design
+from repro.serve.canonical import canonical_form, colored_graph
 from repro.serve.jobs import InvalidJobError, JobOutcome, JobRequest, JobState
 from repro.steiner.instances import grid_instance, hypercube_instance, random_instance
 from repro.steiner.stp_io import parse_stp
@@ -50,15 +51,13 @@ def stp_canonical_labeling(instance: Any, budget: int = _CANON_BUDGET):
 
     Vertices are colored by aliveness + terminal flag, edges labeled by
     the sorted multiset of parallel-edge costs, and the colored graph is
-    run through :func:`repro.cip.symmetry.canonical_form`.  The
+    run through :func:`repro.serve.canonical.canonical_form`.  The
     certificate is invariant under vertex relabeling, so two isomorphic
     instances fingerprint equal; the labeling lets the daemon translate
     a cached solution into the query instance's own edge ids.  Budget
     exhaustion returns None and the caller falls back to the structural
     (labeling-sensitive) fingerprint.
     """
-    from repro.cip.symmetry import canonical_form, colored_graph
-
     n = int(instance.n)
     colors = []
     for v in range(n):

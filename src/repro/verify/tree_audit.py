@@ -89,7 +89,6 @@ def audit_cip_trace(
     bound_out: dict[int, float] = {}  # node id -> final bound at resolution
     n_unresolved = 0
     n_processed = 0
-    n_tree_resets = 0
     seen: set[int] = set()
     # replay in emission order (the tracer preserves it): timestamps alone
     # cannot order an incumbent found *during* a node against that node
@@ -104,12 +103,10 @@ def audit_cip_trace(
         nid = int(d["node"])
         if nid == 0 and int(d["depth"]) == 0 and nid in seen:
             # a fresh root: the solver started a new tree (UG ParaSolvers
-            # build one CIPSolver per received subproblem, and in-solve
-            # restarts rebuild the tree mid-run) — node ids and parent
-            # bounds reset, the incumbent carries across
+            # build one CIPSolver per received subproblem) — node ids and
+            # parent bounds reset, the incumbent carries across
             seen.clear()
             bound_out.clear()
-            n_tree_resets += 1
         outcome = str(d["outcome"])
         b_in, b_out = float(d["bound_in"]), float(d["bound"])
         scale = max(1.0, abs(b_out) if math.isfinite(b_out) else 1.0)
@@ -169,17 +166,6 @@ def audit_cip_trace(
             traced_unresolved = int(stats.extra.get("unresolved_nodes", 0))
             report.add("unresolved_accounting", n_unresolved == traced_unresolved,
                        f"trace saw {n_unresolved}, stats say {traced_unresolved}")
-            # estimation-driven restarts: every restart the solver claims
-            # must appear as a `restart` trace event, and each one must be
-            # witnessed by a fresh-root tree reset in the bb_node stream
-            n_restart_events = sum(1 for e in events if e.kind == "restart")
-            claimed = int(stats.extra.get("restarts", 0))
-            report.add(
-                "restart_accounting",
-                n_restart_events == claimed and n_restart_events <= n_tree_resets,
-                f"trace saw {n_restart_events} restart events over {n_tree_resets} "
-                f"tree resets, stats say {claimed}",
-            )
     return report
 
 

@@ -179,11 +179,6 @@ class TestParams:
             ParamSet().with_changes(heuristics=False)
         assert ParamSet().with_changes(**{"ns/knob": 1}).get_extra("ns/knob") == 1
 
-    def test_symmetry_mode_is_off_or_orbital(self):
-        assert ParamSet(symmetry_mode="orbital").symmetry_mode == "orbital"
-        with pytest.raises(ModelError, match="symmetry_mode"):
-            ParamSet(symmetry_mode="lex")
-
     def test_every_field_turns_something(self):
         """Dead-knob guard: every ParamSet field (bar the ``emphasis``
         label and the ``extras`` container) is read as an attribute

@@ -1,0 +1,68 @@
+"""Default-kernel solves, pinned count for count.
+
+A change that claims "no solve changed" must leave every number below
+exactly as it is: B&B nodes, LP solves and simplex iterations of the
+default ``SteinerSolver``/``MISDPSolver`` on a few seeded instances, and,
+for MISDP, the number of SDP relaxations (ADMM runs) and their ADMM
+iterations.  Two instances stand for each sequential ledger pool: unit-cost
+PUC hypercubes decided by branch-and-cut (``stp_bnb``), perturbed-cost
+zoo graphs settled at the root by reductions (``stp_presolve``), and one
+MISDP per approach (``misdp``).  A change that means to alter a solve
+updates the table and says why.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.sdp.heuristics
+import repro.sdp.relaxator
+from repro.instances import misdp as misdp_zoo
+from repro.instances import stp as stp_zoo
+from repro.sdp.solver import MISDPSolver
+from repro.steiner.solver import SteinerSolver
+
+pytestmark = pytest.mark.fast
+
+#: name -> (builder, objective, nodes, LP solves, LP iterations)
+STP = {
+    "puc_hc4": (lambda: stp_zoo.hypercube(dim=4, perturbed=False, parity_terminals=True, seed=0), 10.0, 5, 11, 96),
+    "puc_hc5": (lambda: stp_zoo.hypercube(dim=5, perturbed=False, parity_terminals=True, seed=0), 20.0, 35, 67, 4708),
+    "incidence": (lambda: stp_zoo.incidence(n=100, extra_edges=100, n_terminals=10, seed=3), 173.0, 6, 18, 88),
+    "orlib": (lambda: stp_zoo.orlib_random(n=75, m=180, n_terminals=12, seed=2), 59.0, 1, 6, 11),
+}
+
+#: name -> (builder, approach, objective, nodes, relaxation calls, LP
+#: iterations, SDP relaxations, ADMM iterations)
+MISDP = {
+    "random_sdp": (lambda: misdp_zoo.misdp_random(n_vars=3, block_size=2, n_rows=1, ub=1, seed=15), "sdp", 0.0, 3, 3, 0, 3, 374),
+    "random_lp": (lambda: misdp_zoo.misdp_random(n_vars=3, block_size=2, n_rows=1, ub=1, seed=2), "lp", -2.0, 5, 15, 13, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STP))
+def test_steiner_solve_counts(name):
+    build, objective, nodes, lp_solves, lp_iterations = STP[name]
+    res = SteinerSolver(build()).solve()
+    assert res.cost == pytest.approx(objective)
+    got = (res.nodes_processed, res.stats.lp_solves, res.stats.lp_iterations)
+    assert got == (nodes, lp_solves, lp_iterations)
+
+
+@pytest.mark.parametrize("name", sorted(MISDP))
+def test_misdp_solve_counts(name, monkeypatch):
+    build, approach, objective, nodes, lp_solves, lp_iterations, relaxations, admm_iterations = MISDP[name]
+    admm = [0, 0]
+    for module in (repro.sdp.relaxator, repro.sdp.heuristics):
+
+        def counted(*args, _solve=module.solve_sdp_relaxation, **kwargs):
+            result = _solve(*args, **kwargs)
+            admm[0] += 1
+            admm[1] += result.iterations
+            return result
+
+        monkeypatch.setattr(module, "solve_sdp_relaxation", counted)
+    res = MISDPSolver(build(), approach=approach).solve()
+    assert res.objective == pytest.approx(objective, abs=1e-5)
+    got = (res.nodes_processed, res.stats.lp_solves, res.stats.lp_iterations, *admm)
+    assert got == (nodes, lp_solves, lp_iterations, relaxations, admm_iterations)

@@ -18,7 +18,7 @@ from repro.cip.heuristics import DivingHeuristic
 from repro.cip.mip import make_mip_solver
 from repro.cip.model import Model, VarType
 from repro.cip.node import Node
-from repro.cip.params import ParamSet, emphasis
+from repro.cip.params import ParamSet
 from repro.cip.plugins import Cut, RelaxationStatus
 from repro.cip.result import SolveStatus
 from repro.cip.solver import CIPSolver
@@ -251,18 +251,6 @@ def test_second_setup_reuses_the_handle_and_stays_exact(warm_vs_cold):
     if reference.status is SolveStatus.OPTIMAL:
         assert second.objective == pytest.approx(reference.objective, abs=1e-6)
     assert first.objective == pytest.approx(expected, abs=1e-6)
-
-
-def test_estimation_driven_restart_reuses_the_handle_and_stays_exact(warm_vs_cold):
-    model, expected = random_binary_model(11, n=12, m=5)
-    params = emphasis("modern").with_changes(restart_min_nodes=2, restart_node_factor=1e-9)
-    solver = make_mip_solver(model, params)
-    handles = set()
-    res = solver.solve(node_limit=5000, callback=lambda s: handles.add(id(s._node_lp)) or True)
-    assert solver.stats.extra.get("restarts", 0) >= 1
-    assert len(handles) == 1
-    assert res.status is SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(expected, abs=1e-6)
 
 
 # -- the SDP relaxator's eigenvector-cut LP loop -----------------------------------
