@@ -2,19 +2,38 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import LinAlgError, lapack
+
+
+@functools.cache
+def _evr_workspace(n: int) -> dict[str, int]:
+    work, iwork, _info = lapack.dsyevr_lwork(n, lower=1)  # queried once per order
+    return {"lwork": int(work), "liwork": int(iwork)}
+
+
+def _eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh(M)`` bit for bit: its default LAPACK call (``dsyevr``,
+    lower triangle, same workspace) without its per-call argument handling."""
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    vals, vecs, _m, _isuppz, info = lapack.dsyevr(M, lower=1, **_evr_workspace(M.shape[0]))
+    if info != 0:
+        raise LinAlgError(f"dsyevr failed (info={info})")
+    return vals, vecs
 
 
 def min_eig(M: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a corresponding unit eigenvector."""
-    vals, vecs = sla.eigh(np.asarray(M, dtype=float))
+    vals, vecs = _eigh(np.asarray(M, dtype=float))
     return float(vals[0]), vecs[:, 0]
 
 
 def eig_pairs_below(M: np.ndarray, threshold: float) -> list[tuple[float, np.ndarray]]:
     """All (eigenvalue, eigenvector) pairs with eigenvalue < threshold."""
-    vals, vecs = sla.eigh(np.asarray(M, dtype=float))
+    vals, vecs = _eigh(np.asarray(M, dtype=float))
     return [(float(vals[i]), vecs[:, i]) for i in range(len(vals)) if vals[i] < threshold]
 
 
@@ -23,7 +42,7 @@ def project_psd(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape == (1, 1):
         return np.maximum(M, 0.0)
-    vals, vecs = sla.eigh(M)
+    vals, vecs = _eigh(M)
     if vals[0] >= 0.0:
         return M
     pos = vals > 0.0

@@ -10,10 +10,15 @@ solved by the ADMM engine. Two safeguards mirror SCIP-SDP's engineering:
   degenerate blocks, e.g. truss compliance with vanishing bars), the node
   is bounded by an internal eigenvector-cut LP loop instead — an outer
   approximation of the SDP cone, hence always a valid bound.
+
+The relaxation depends on the node's bounds alone, so the last main ADMM
+result is kept and handed out again (charged the same work) while they
+are unchanged, as on the root's cut-loop re-solves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +28,7 @@ from repro.cip.plugins import Cut, RelaxationResult, RelaxationStatus, Relaxator
 from repro.cip.solver import CIPSolver
 from repro.lp import HighsLP, LPStatus
 from repro.lp.scipy_backend import solve_with_scipy
-from repro.sdp.admm import solve_sdp_relaxation
+from repro.sdp.admm import SDPResult, solve_sdp_relaxation
 from repro.sdp.linalg import eig_pairs_below
 from repro.sdp.model import MISDP
 
@@ -43,15 +48,28 @@ class SDPRelaxator(Relaxator):
         self.max_iter = max_iter
         self.tol = tol
         self._fallback_cuts: list[Cut] = []
+        self._last: tuple[bytes, SDPResult] | None = None  # (bounds, main ADMM result)
+
+    def _relax(self, lb: np.ndarray, ub: np.ndarray, budget) -> SDPResult:
+        """The main ADMM solve, reused while the bounds are byte-identical
+        (and no deadline has passed); ``time_limit`` results are not kept."""
+        key = lb.tobytes() + ub.tobytes()
+        hit = self._last is not None and self._last[0] == key
+        if hit and (budget is None or not budget.time_exceeded()):
+            res = self._last[1]
+        else:
+            res = solve_sdp_relaxation(
+                self.misdp, lb, ub, max_iter=self.max_iter, tol=self.tol, budget=budget
+            )
+            self._last = None if res.status == "time_limit" else (key, res)
+        return res if res.y is None else dataclasses.replace(res, y=res.y.copy())
 
     def solve(self, solver: CIPSolver, node: Node) -> RelaxationResult:
         m = self.misdp.num_vars
         lb = solver._local_lb[:m].copy()  # noqa: SLF001 - relaxator is a core plugin
         ub = solver._local_ub[:m].copy()  # noqa: SLF001
         budget = solver.lp_budget
-        res = solve_sdp_relaxation(
-            self.misdp, lb, ub, max_iter=self.max_iter, tol=self.tol, budget=budget
-        )
+        res = self._relax(lb, ub, budget)
         work = WORK_PER_ADMM_ITER * res.iterations
         if res.status == "infeasible":
             return RelaxationResult(RelaxationStatus.INFEASIBLE, math.inf, None, work)

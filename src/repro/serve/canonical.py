@@ -50,15 +50,29 @@ def colored_graph(
     return ColoredGraph(n, adj, [color_ids[key] for key in color_keys])
 
 
-def refine_colors(graph: ColoredGraph, colors: Sequence[int]) -> list[int]:
+#: what one budget step is worth in vertex signatures: an individualization
+#: costs a step, and every refinement round one signature per vertex
+_SIGNATURES_PER_STEP = 16
+
+
+class _Budget:
+    __slots__ = ("left",)
+
+    def __init__(self, steps: int) -> None:
+        self.left = steps * _SIGNATURES_PER_STEP  # in vertex signatures
+
+
+def refine_colors(graph: ColoredGraph, colors: Sequence[int], state: _Budget) -> list[int]:
     """1-WL refinement with edge labels; returns stable canonical colors.
 
     New color ids are assigned by sorted signature order, so the ids are
     isomorphism-invariant (two isomorphic colorings refine to the same
-    id sequence up to the isomorphism).
+    id sequence up to the isomorphism).  Every vertex signature built is
+    charged to ``state``.
     """
     colors = list(colors)
     for _ in range(graph.n + 1):
+        state.left -= graph.n
         sigs = [
             (colors[v], tuple(sorted((lab, colors[u]) for u, lab in graph.adj[v].items())))
             for v in range(graph.n)
@@ -78,21 +92,15 @@ def _cells(colors: Sequence[int]) -> dict[int, list[int]]:
     return cells
 
 
-def _individualize(graph: ColoredGraph, colors: Sequence[int], v: int) -> list[int]:
+def _individualize(graph: ColoredGraph, colors: Sequence[int], v: int, state: _Budget) -> list[int]:
     """Split ``v`` into its own cell (standard IR step), then refine."""
+    state.left -= _SIGNATURES_PER_STEP
     bumped = [2 * c for c in colors]
     bumped[v] -= 1
-    return refine_colors(graph, bumped)
+    return refine_colors(graph, bumped, state)
 
 
 # -- canonical labeling ------------------------------------------------------
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int) -> None:
-        self.left = budget
 
 
 def canonical_form(graph: ColoredGraph, budget: int = 4000) -> tuple[bytes, list[int]] | None:
@@ -102,8 +110,11 @@ def canonical_form(graph: ColoredGraph, budget: int = 4000) -> tuple[bytes, list
     refined coloring, branch on *every* vertex of the first non-singleton
     cell and keep the lexicographically smallest leaf certificate —
     which makes the certificate (and the argmin labeling) invariant
-    under relabeling.  ``budget`` caps refinement steps; exhaustion
-    returns None and the caller falls back to a non-invariant key.
+    under relabeling.  ``budget`` caps the search in steps: one per
+    individualization plus one per ``_SIGNATURES_PER_STEP`` vertex
+    signatures its refinements build, so a large graph runs out in
+    proportion to its real work.  Exhaustion returns None and the caller
+    falls back to a non-invariant key.
     """
     state = _Budget(budget)
     best: list[tuple[bytes, list[int]] | None] = [None]
@@ -133,10 +144,9 @@ def canonical_form(graph: ColoredGraph, budget: int = 4000) -> tuple[bytes, list
         for v in cells[target]:
             if state.left <= 0:
                 return
-            state.left -= 1
-            search(_individualize(graph, colors, v))
+            search(_individualize(graph, colors, v, state))
 
-    search(refine_colors(graph, graph.colors))
+    search(refine_colors(graph, graph.colors, state))
     if state.left <= 0 or best[0] is None:
         return None
     return best[0]

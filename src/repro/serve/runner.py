@@ -42,7 +42,7 @@ from repro.verify.steiner import check_steiner_tree
 
 # -- STP canonical labeling -----------------------------------------------------
 
-_CANON_BUDGET = 4000  # refinement steps for canonical labeling; exhaustion falls back
+_CANON_BUDGET = 4000  # canonical labeling search steps (see canonical_form); exhaustion falls back
 _COST_ROUND = 9
 
 

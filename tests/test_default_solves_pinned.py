@@ -7,8 +7,10 @@ for MISDP, the number of SDP relaxations (ADMM runs) and their ADMM
 iterations.  Two instances stand for each sequential ledger pool: unit-cost
 PUC hypercubes decided by branch-and-cut (``stp_bnb``), perturbed-cost
 zoo graphs settled at the root by reductions (``stp_presolve``), and one
-MISDP per approach (``misdp``).  A change that means to alter a solve
-updates the table and says why.
+MISDP per approach (``misdp``), plus a ledger ``mkp4`` base whose root
+cut loop asks for the same relaxation twice: the relaxator answers the
+repeat from its last result, so only one ADMM run is counted.  A change
+that means to alter a solve updates the table and says why.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import repro.sdp.heuristics
 import repro.sdp.relaxator
 from repro.instances import misdp as misdp_zoo
 from repro.instances import stp as stp_zoo
+from repro.sdp.instances import min_k_partitioning
 from repro.sdp.solver import MISDPSolver
 from repro.steiner.solver import SteinerSolver
 
@@ -37,6 +40,7 @@ STP = {
 MISDP = {
     "random_sdp": (lambda: misdp_zoo.misdp_random(n_vars=3, block_size=2, n_rows=1, ub=1, seed=15), "sdp", 0.0, 3, 3, 0, 3, 374),
     "random_lp": (lambda: misdp_zoo.misdp_random(n_vars=3, block_size=2, n_rows=1, ub=1, seed=2), "lp", -2.0, 5, 15, 13, 0, 0),
+    "mkp4_s30": (lambda: min_k_partitioning(n=4, k=2, seed=30), "sdp", -3.0, 1, 2, 0, 1, 344),
 }
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.sdp.relaxator
 from repro.cip.params import ParamSet
-from repro.sdp.admm import solve_sdp_relaxation
+from repro.cip.plugins import RelaxationStatus
+from repro.sdp.admm import SDPResult, solve_sdp_relaxation
 from repro.sdp.eigcuts import initial_diagonal_cuts
 from repro.sdp.instances import (
     cardinality_least_squares,
@@ -17,7 +21,9 @@ from repro.sdp.instances import (
     truss_topology_design,
 )
 from repro.sdp.model import MISDP
+from repro.sdp.relaxator import SDPRelaxator
 from repro.sdp.solver import MISDPSolver
+from repro.utils.budget import Budget
 
 OK_STATUSES = ("optimal", "gap_limit")
 
@@ -36,6 +42,13 @@ def brute_force_misdp(misdp: MISDP) -> float:
         if r.status == "optimal" and r.objective > best and misdp.is_feasible(r.y, 1e-3):
             best = r.objective
     return best
+
+
+@functools.cache
+def brute_force_optimum(build, **kwargs) -> float:
+    """:func:`brute_force_misdp` of ``build(**kwargs)``, enumerated once per
+    instance however many tests compare against it."""
+    return brute_force_misdp(build(**kwargs))
 
 
 class TestEigenvectorCuts:
@@ -78,7 +91,7 @@ class TestMISDPSolver:
     @pytest.mark.parametrize("approach", ["sdp", "lp"])
     def test_mkp_matches_bruteforce(self, approach):
         m = min_k_partitioning(n=4, k=2, seed=1)
-        bf = brute_force_misdp(m)
+        bf = brute_force_optimum(min_k_partitioning, n=4, k=2, seed=1)
         sol = MISDPSolver(m, approach=approach, seed=0).solve(node_limit=500, time_limit=120)
         assert sol.status.value in OK_STATUSES
         assert sol.objective == pytest.approx(bf, abs=5e-3)
@@ -87,7 +100,7 @@ class TestMISDPSolver:
     @pytest.mark.parametrize("approach", ["sdp", "lp"])
     def test_cls_matches_bruteforce(self, approach):
         m = cardinality_least_squares(n_features=3, n_samples=4, seed=1)
-        bf = brute_force_misdp(m)
+        bf = brute_force_optimum(cardinality_least_squares, n_features=3, n_samples=4, seed=1)
         sol = MISDPSolver(m, approach=approach, seed=0).solve(node_limit=500, time_limit=120)
         assert sol.status.value in OK_STATUSES
         assert sol.objective == pytest.approx(bf, abs=5e-3)
@@ -131,6 +144,110 @@ class TestMISDPSolver:
             solver2 = MISDPSolver(m, approach="lp", seed=0)
             solver2.prepare(bounds)
             assert solver2.cip is not None
+
+
+class TestRelaxationMemo:
+    """``SDPRelaxator`` reuses its last main ADMM result while the node's
+    bounds are byte-identical, and only then."""
+
+    @staticmethod
+    def node_state(misdp, budget=None):
+        """The slice of ``CIPSolver`` the relaxator reads."""
+        return SimpleNamespace(
+            _local_lb=misdp.lb.copy(),
+            _local_ub=misdp.ub.copy(),
+            lp_budget=budget,
+            budget=budget or Budget(),
+            model=SimpleNamespace(obj_offset=0.0),
+        )
+
+    @staticmethod
+    def count_admm(monkeypatch, fake=None):
+        calls = []
+
+        def counted(misdp, lb, ub, penalty=False, **kwargs):
+            calls.append(penalty)
+            if fake is not None:
+                return fake(penalty)
+            return solve_sdp_relaxation(misdp, lb, ub, penalty=penalty, **kwargs)
+
+        monkeypatch.setattr(repro.sdp.relaxator, "solve_sdp_relaxation", counted)
+        return calls
+
+    def test_unchanged_bounds_reuse_the_result(self, monkeypatch):
+        m = min_k_partitioning(n=4, k=2, seed=0)
+        calls = self.count_admm(monkeypatch)
+        relax, state = SDPRelaxator(m), self.node_state(m)
+        first = relax.solve(state, None)
+        again = relax.solve(state, None)
+        assert calls == [False]
+        assert again.status is RelaxationStatus.OPTIMAL
+        assert (again.bound, again.work) == (first.bound, first.work)
+        assert again.x.tobytes() == first.x.tobytes()
+
+    def test_changed_bound_runs_fresh(self, monkeypatch):
+        m = min_k_partitioning(n=4, k=2, seed=0)
+        calls = self.count_admm(monkeypatch)
+        relax, state = SDPRelaxator(m), self.node_state(m)
+        relax.solve(state, None)
+        state._local_ub[0] = 0.0
+        relax.solve(state, None)
+        state._local_ub[0] = -0.0  # equal as a float, not as bytes
+        relax.solve(state, None)
+        assert calls == [False, False, False]
+
+    def test_time_limit_result_is_not_reused(self, monkeypatch):
+        m = min_k_partitioning(n=4, k=2, seed=0)
+        expired = SDPResult("time_limit", 0.0, None, 1, np.inf, np.inf)
+        calls = self.count_admm(monkeypatch, fake=lambda penalty: expired)
+        relax, state = SDPRelaxator(m), self.node_state(m)
+        for _ in range(2):
+            assert relax.solve(state, None).status is RelaxationStatus.FAILED
+        assert calls == [False, False]
+
+    def test_passed_deadline_is_not_answered_from_the_memo(self, monkeypatch):
+        m = min_k_partitioning(n=4, k=2, seed=0)
+        calls = self.count_admm(monkeypatch)
+        now = [0.0]
+        budget = Budget(time_limit=1.0, clock=lambda: now[0]).start()
+        relax, state = SDPRelaxator(m), self.node_state(m, budget)
+        assert relax.solve(state, None).status is RelaxationStatus.OPTIMAL
+        now[0] = 2.0
+        assert relax.solve(state, None).status is RelaxationStatus.FAILED
+        assert calls == [False, False]
+
+    def test_mutating_x_leaves_the_memo_intact(self, monkeypatch):
+        m = min_k_partitioning(n=4, k=2, seed=0)
+        self.count_admm(monkeypatch)
+        relax, state = SDPRelaxator(m), self.node_state(m)
+        first = relax.solve(state, None)
+        kept = first.x.copy()
+        first.x[:] = 99.0
+        again = relax.solve(state, None)
+        assert again.x.tobytes() == kept.tobytes()
+        again.x[:] = -99.0
+        assert relax.solve(state, None).x.tobytes() == kept.tobytes()
+
+    def test_penalty_and_lp_fallback_run_every_time(self, monkeypatch):
+        """A stalled main solve is reused, but what follows it is not: the
+        fallback's cut list grows between calls."""
+        m = min_k_partitioning(n=4, k=2, seed=0)
+        stalled = SDPResult("failed", 0.0, None, 7, 1.0, 1.0)
+        feasible = SDPResult("optimal", 0.0, np.zeros(m.num_vars), 3, 0.0, 0.0)
+        calls = self.count_admm(monkeypatch, fake=lambda penalty: feasible if penalty else stalled)
+        relax, state = SDPRelaxator(m), self.node_state(m)
+        fallbacks = []
+        lp_fallback = relax._lp_fallback
+
+        def counted_fallback(*args):
+            fallbacks.append(len(relax._fallback_cuts))
+            return lp_fallback(*args)
+
+        monkeypatch.setattr(relax, "_lp_fallback", counted_fallback)
+        for _ in range(2):
+            assert relax.solve(state, None).status is RelaxationStatus.OPTIMAL
+        assert calls == [False, True, True]
+        assert len(fallbacks) == 2
 
 
 class TestInstances:

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.instances import FAMILIES
-from repro.serve import runner
+from repro.serve import canonical, runner
 from repro.serve.runner import KINDS, instance_cache_key, stp_canonical_labeling
 from repro.steiner.graph import SteinerGraph
+from repro.steiner.instances import hypercube_instance
 from repro.steiner.solver import SteinerSolver
 from repro.utils.records import canonical_json
 from repro.verify.steiner import check_steiner_tree
@@ -106,3 +107,28 @@ def test_exhausted_budget_falls_back_to_the_structural_key(monkeypatch):
     assert key == hashlib.sha256(structural).hexdigest()
     # the structural key is labeling-sensitive: a relabeled twin misses
     assert instance_cache_key("stp", relabeled(g, 5))[0] != key
+
+
+@pytest.mark.parametrize(
+    "build,max_steps",
+    [
+        # the daemon tests' HARD job: 64 vertices, five refinement rounds a step
+        (lambda: hypercube_instance(6, perturbed=False, seed=0), 200),
+        (lambda: FAMILIES["grid_holes"].build(rows=7, cols=7, n_holes=2, seed=0), 600),
+    ],
+    ids=["hc6_unit", "grid_holes_7x7"],
+)
+def test_budget_charges_refinement_work(build, max_steps, monkeypatch):
+    """Each individualization pays for the signatures its refinement
+    builds, so a search on a larger graph gives up after proportionally
+    fewer of them (it used to run all 4 000, for seconds)."""
+    steps = []
+    individualize = canonical._individualize
+
+    def counted(*args):
+        steps.append(1)
+        return individualize(*args)
+
+    monkeypatch.setattr(canonical, "_individualize", counted)
+    assert stp_canonical_labeling(build()) is None
+    assert 0 < len(steps) <= max_steps
