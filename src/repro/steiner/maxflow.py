@@ -3,6 +3,13 @@
 Used by the directed-cut separator: capacities are the LP arc values and
 a min cut of capacity < 1 between the root and a terminal is exactly a
 violated constraint (4) of the flow-balance directed cut formulation.
+
+The separator runs one flow per terminal per LP round, so the residual
+graph, levels and reach set are plain lists (a numpy scalar read costs
+several list reads), the augmenting search is an explicit stack and the
+level search stops at the sink. Arc order, augmenting order and every
+floating-point operation are the recursive textbook form's, so flows,
+residual capacities and min cuts are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+
+_EPS = 1e-12  # residual capacity at or below this is saturated
 
 
 class MaxFlow:
@@ -24,73 +33,80 @@ class MaxFlow:
         m = len(arc_tail)
         self.m = m
         # residual arc storage: forward arcs at 2k, backward at 2k+1
-        self.to = np.empty(2 * m, dtype=np.int64)
-        self.cap = np.zeros(2 * m, dtype=float)
+        self.to = [0] * (2 * m)
+        self.to[0::2], self.to[1::2] = np.asarray(arc_head).tolist(), np.asarray(arc_tail).tolist()
+        self.cap = [0.0] * (2 * m)
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for k in range(m):
-            u, v = int(arc_tail[k]), int(arc_head[k])
-            self.to[2 * k] = v
-            self.to[2 * k + 1] = u
-            self.adj[u].append(2 * k)
-            self.adj[v].append(2 * k + 1)
+        for a in range(2 * m):
+            self.adj[self.to[a ^ 1]].append(a)  # arc a leaves the head of its twin
 
     def set_capacities(self, capacities: np.ndarray) -> None:
-        self.cap[0::2] = capacities
-        self.cap[1::2] = 0.0
+        self.cap[0::2] = np.asarray(capacities, dtype=float).tolist()
+        self.cap[1::2] = [0.0] * self.m
 
-    def _bfs_levels(self, s: int, t: int) -> np.ndarray | None:
-        level = np.full(self.n, -1, dtype=np.int64)
+    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+        """Levels from ``s``, up to ``t``'s: deeper ones are never used."""
+        to, cap, adj = self.to, self.cap, self.adj
+        level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for a in self.adj[v]:
-                w = int(self.to[a])
-                if self.cap[a] > 1e-12 and level[w] < 0:
+            for a in adj[v]:
+                w = to[a]
+                if level[w] < 0 and cap[a] > _EPS:
                     level[w] = level[v] + 1
+                    if w == t:
+                        return level
                     queue.append(w)
-        return level if level[t] >= 0 else None
-
-    def _dfs_augment(self, v: int, t: int, pushed: float, level: np.ndarray, it: list[int]) -> float:
-        if v == t:
-            return pushed
-        while it[v] < len(self.adj[v]):
-            a = self.adj[v][it[v]]
-            w = int(self.to[a])
-            if self.cap[a] > 1e-12 and level[w] == level[v] + 1:
-                got = self._dfs_augment(w, t, min(pushed, float(self.cap[a])), level, it)
-                if got > 1e-12:
-                    self.cap[a] -= got
-                    self.cap[a ^ 1] += got
-                    return got
-            it[v] += 1
-        return 0.0
+        return None
 
     def max_flow(self, s: int, t: int, limit: float = float("inf")) -> float:
-        """Compute max flow from s to t, stopping early once >= limit."""
+        """Compute max flow from s to t, stopping early once >= limit
+        (or within ``_EPS`` of it: no path can carry that remainder)."""
+        to, cap, adj = self.to, self.cap, self.adj
         flow = 0.0
-        while flow < limit:
+        while limit - flow > _EPS:
             level = self._bfs_levels(s, t)
             if level is None:
                 break
             it = [0] * self.n
-            while flow < limit:
-                pushed = self._dfs_augment(s, t, limit - flow, level, it)
-                if pushed <= 1e-12:
-                    break
-                flow += pushed
+            path: list[int] = []  # arcs of the current s-v path
+            v = s
+            while limit - flow > _EPS:
+                if v == t:  # augment, then search again from s
+                    pushed = min(limit - flow, *(cap[a] for a in path))
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    flow += pushed
+                    path, v = [], s
+                    continue
+                arcs, i, below = adj[v], it[v], level[v] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > _EPS and level[to[arcs[i]]] == below):
+                    i += 1
+                it[v] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    v = to[arcs[i]]
+                elif path:  # dead end: retreat past the arc into v
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
+                    break  # blocking flow reached
         return flow
 
     def min_cut_source_side(self, s: int) -> np.ndarray:
         """After max_flow: vertices reachable from s in the residual graph."""
-        reach = np.zeros(self.n, dtype=bool)
+        to, cap, adj = self.to, self.cap, self.adj
+        reach = [False] * self.n
         reach[s] = True
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for a in self.adj[v]:
-                w = int(self.to[a])
-                if self.cap[a] > 1e-12 and not reach[w]:
+            for a in adj[v]:
+                w = to[a]
+                if not reach[w] and cap[a] > _EPS:
                     reach[w] = True
                     queue.append(w)
-        return reach
+        return np.array(reach, dtype=bool)

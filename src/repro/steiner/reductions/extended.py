@@ -15,6 +15,11 @@ This is the depth-one ("rather restricted", as the paper puts it) variant
 of the technique; its value grows deep in the B&B tree where branching
 has already deleted vertices and added terminals — exactly the interplay
 the paper credits for solving bip52u.
+
+Every edge at a center is tested against the same SD matrix of its
+spokes, so one call computes it once per center and graph version
+(``delete_edge`` bumps the version). The memo lives for one call only:
+``set_terminal`` does not bump the version, yet it changes the SDs.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ def _sd_matrix(
     limit = 2.0 * max(c for _w, c in spokes) + 1e-9
     out: dict[tuple[int, int], float] = {}
     ends = [w for w, _c in spokes]
-    for i, a in enumerate(ends):
+    for i, a in enumerate(ends[:-1]):  # the last spoke has no later partner
         sd = bottleneck_steiner_distance(graph, a, limit, max_visits, avoid=center)
         for b in ends[i + 1 :]:
             if b in sd:
@@ -74,6 +79,7 @@ def _mst_cost(nodes: list[int], dist: dict[tuple[int, int], float]) -> float:
 def extended_edge_test(graph: SteinerGraph, max_visits: int = 250, max_degree: int = 7) -> int:
     """Depth-one extended edge elimination; returns #deletions."""
     reductions = 0
+    memo: dict[tuple[int, int], dict[tuple[int, int], float]] = {}  # (center, version) -> SDs
     for eid in list(graph.alive_edges()):
         e = graph.edges[eid]
         if not e.alive:
@@ -82,13 +88,12 @@ def extended_edge_test(graph: SteinerGraph, max_visits: int = 250, max_degree: i
             if graph.is_terminal(endpoint):
                 continue
             u = e.other(endpoint)
-            spokes = [
-                (w, cost)
-                for w, ext_eid, cost in graph.neighbors(endpoint)
-            ]
+            spokes = [(w, cost) for w, _eid, cost in graph.neighbors(endpoint)]
             if len(spokes) > max_degree or len(spokes) < 2:
                 continue
-            sd = _sd_matrix(graph, endpoint, spokes, max_visits)
+            sd = memo.get((endpoint, graph._version))
+            if sd is None:
+                sd = memo[endpoint, graph._version] = _sd_matrix(graph, endpoint, spokes, max_visits)
             others = [(w, c) for w, c in spokes if w != u]
             u_cost = e.cost
             deletable = True

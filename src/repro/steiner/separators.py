@@ -57,8 +57,7 @@ class SteinerCutHandler(ConstraintHandler):
         sap = self.sap
         caps = np.asarray(x[: sap.num_arcs], dtype=float).clip(min=0.0)
         cuts: list[Cut] = []
-        sinks = sorted(sap.sinks(), key=lambda t: -1.0)  # deterministic order
-        for t in sinks:
+        for t in sap.sinks():
             if len(cuts) >= self.max_cuts_per_call:
                 break
             self._flow.set_capacities(caps)
@@ -66,11 +65,7 @@ class SteinerCutHandler(ConstraintHandler):
             if flow >= 1.0 - solver.tol.feas:
                 continue
             reach = self._flow.min_cut_source_side(sap.root)
-            coefs: dict[int, float] = {}
-            for a in range(sap.num_arcs):
-                if reach[sap.arc_tail[a]] and not reach[sap.arc_head[a]]:
-                    coefs[a] = 1.0
-            if not coefs:
-                continue
-            cuts.append(Cut.from_dict(coefs, lhs=1.0, name=f"dcut_t{t}"))
+            leaving = np.flatnonzero(reach[sap.arc_tail] & ~reach[sap.arc_head])
+            if len(leaving):
+                cuts.append(Cut.from_dict(dict.fromkeys(leaving.tolist(), 1.0), lhs=1.0, name=f"dcut_t{t}"))
         return cuts

@@ -9,8 +9,11 @@ PUC hypercubes decided by branch-and-cut (``stp_bnb``), perturbed-cost
 zoo graphs settled at the root by reductions (``stp_presolve``), and one
 MISDP per approach (``misdp``), plus a ledger ``mkp4`` base whose root
 cut loop asks for the same relaxation twice: the relaxator answers the
-repeat from its last result, so only one ADMM run is counted.  A change
-that means to alter a solve updates the table and says why.
+repeat from its last result, so only one ADMM run is counted.  The
+parallel path is pinned too: the second presolve layer every ParaSolver
+runs on the subproblems it receives (``prepare(use_extended=True)``), and a
+two-rank SimEngine run shaped like the ledger's ``par_scaling`` ops.  A
+change that means to alter a solve updates the table and says why.
 """
 
 from __future__ import annotations
@@ -19,11 +22,18 @@ import pytest
 
 import repro.sdp.heuristics
 import repro.sdp.relaxator
+from benchmarks.ledger import inputs
+from repro.apps.stp_plugins import SteinerUserPlugins
+from repro.cip.params import ParamSet
 from repro.instances import misdp as misdp_zoo
 from repro.instances import stp as stp_zoo
 from repro.sdp.instances import min_k_partitioning
 from repro.sdp.solver import MISDPSolver
+from repro.steiner.instances import hypercube_instance
+from repro.steiner.reductions.pipeline import ReductionStats
 from repro.steiner.solver import SteinerSolver
+from repro.ug import ug
+from repro.ug.config import UGConfig
 
 pytestmark = pytest.mark.fast
 
@@ -70,3 +80,58 @@ def test_misdp_solve_counts(name, monkeypatch):
     assert res.objective == pytest.approx(objective, abs=1e-5)
     got = (res.nodes_processed, res.stats.lp_solves, res.stats.lp_iterations, *admm)
     assert got == (nodes, lp_solves, lp_iterations, relaxations, admm_iterations)
+
+
+#: decisions -> (ReductionStats, alive edges) of the layer-2 presolve of hc5u
+LAYER2 = {
+    "root": ((), ReductionStats(rounds=1, by_round=[0]), 80),
+    "six_out": (
+        tuple((v, "out") for v in (1, 2, 4, 7, 8, 11)),
+        ReductionStats(terminal=6, rounds=2, by_round=[6, 0]),
+        41,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER2))
+def test_layer2_presolve_counts(name):
+    decisions, stats, alive = LAYER2[name]
+    solver = SteinerSolver(hypercube_instance(5, perturbed=False, seed=1), seed=0)
+    solver.prepare(decisions, use_extended=True)
+    assert (solver.reduction_stats, len(solver._graph.alive_edges())) == (stats, alive)
+
+
+class CountedPlugins(SteinerUserPlugins):
+    """Keeps every CIP the ParaSolvers build, to sum their LP counts."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cips = []
+
+    def create_handle(self, *args):
+        handle = super().create_handle(*args)
+        if handle.cip is not None:
+            self.cips.append(handle.cip)
+        return handle
+
+
+def test_par_scaling_run_counts():
+    """A ``par_scaling`` op under the SimEngine: the first seed-0 twin of
+    hc5u, two ranks, ``node_limit=16`` and the ledger's wire tuning; UG nodes,
+    then CIP nodes, LP solves and LP iterations summed over the subproblems."""
+    graph = inputs.twin_stp(hypercube_instance(5, perturbed=False, seed=1), inputs.rng_for(0, "par_scaling"))
+    config = UGConfig(
+        time_limit=1e9, objective_epsilon=1 - 1e-6, node_limit=16,
+        net_batch_nodes=8, net_incumbent_debounce=0.05,
+    )  # fmt: skip
+    plugins = CountedPlugins()
+    params = ParamSet(heur_frequency=5)
+    res = ug(graph, plugins, n_solvers=2, comm="sim", params=params, config=config, seed=0).run()
+    assert res.objective == pytest.approx(20.0)
+    got = (
+        res.stats.nodes_generated,
+        sum(c.stats.nodes_processed for c in plugins.cips),
+        sum(c.stats.lp_solves for c in plugins.cips),
+        sum(c.stats.lp_iterations for c in plugins.cips),
+    )
+    assert got == (13, 17, 41, 1861)
