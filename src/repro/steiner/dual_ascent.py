@@ -3,7 +3,9 @@
 Produces (i) a lower bound, (ii) reduced costs supporting that bound,
 (iii) root/terminal reduced-cost distances for arc fixing, and (iv) the
 saturated-arc support that seeds the initial LP of the branch-and-cut
-(the constraint-selection role described in the paper's §3.1).
+(the constraint-selection role described in the paper's §3.1).  Every
+terminal's component is grown from the arcs that saturate, never searched
+afresh, and the ascent runs on plain lists; it returns numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,143 +38,117 @@ class DualAscentResult:
         )
 
 
-def _arc_csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR over arcs grouped by ``keys`` (tails or heads): the arcs of
-    vertex ``v`` are ``order[indptr[v]:indptr[v+1]]``."""
-    order = np.argsort(keys, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-    return indptr, order
-
-
-def _reverse_zero_reachable(
-    sap: SAPDigraph,
-    t: int,
-    rc: np.ndarray,
-    eps: float,
-    rin_ptr: np.ndarray,
-    rin_arc: np.ndarray,
-    tails: np.ndarray,
-) -> np.ndarray:
-    """Bool mask of vertices from which ``t`` is reachable via arcs of
-    zero reduced cost (vectorized saturation scan per frontier vertex)."""
-    comp = np.zeros(sap.n, dtype=bool)
-    comp[t] = True
-    stack = [t]
-    while stack:
-        v = stack.pop()
-        lo, hi = rin_ptr[v], rin_ptr[v + 1]
-        if lo == hi:
-            continue
-        arcs = rin_arc[lo:hi]
-        us = tails[arcs]
-        grow = us[(rc[arcs] <= eps) & ~comp[us]]
-        if grow.size:
-            comp[grow] = True
-            stack.extend(grow.tolist())
-    return comp
-
-
 def dual_ascent(sap: SAPDigraph, eps: float = 1e-9, max_sweeps: int = 10_000) -> DualAscentResult:
     """Run Wong's dual ascent; deterministic given the instance.
 
     Active terminals are processed smallest-component-first (the standard
     guiding rule); each step raises the dual of the component's cut by the
-    minimum entering reduced cost.  Component growth, the entering-arc
-    scan and the delta update are numpy mask operations over the arc
-    arrays — the python per-arc loops dominated dual-ascent profiles.
+    minimum entering reduced cost.  A terminal's component (the vertices
+    that reach it over arcs of reduced cost ``<= eps``) only grows, since
+    reduced costs only fall, and only through an arc that saturated since
+    the terminal's last look and whose head it already holds.  So each
+    component is kept across sweeps, with its cut arcs and a cursor into
+    the list of saturation events, and is extended from the new events
+    alone: the same sets a fresh reverse search per sweep would find.
     """
-    rc = sap.arc_cost.astype(float).copy()
+    rc = sap.arc_cost.astype(float).tolist()
     lb = 0.0
     active = deque(sorted(sap.sinks()))
     sweeps = 0
-    tails = np.asarray(sap.arc_tail, dtype=np.int64)
-    heads = np.asarray(sap.arc_head, dtype=np.int64)
-    rin_ptr, rin_arc = _arc_csr(heads, sap.n)
+    tail_of, head_of, in_arcs = sap.arc_tail.tolist(), sap.arc_head.tolist(), sap.in_arcs
+    sat = bytearray(r <= eps for r in rc)
+    events: list[int] = []  # arcs in the order their reduced cost fell to <= eps
+    comps: dict[int, list] = {}  # terminal -> [mask, size, events seen, cut arcs]
+
+    def grow(state: list, stack: list[int]) -> None:
+        """Close the component under saturated in-arcs of the ``stack``
+        vertices (already in it), collecting their in-arcs as cut arcs."""
+        mask, cut = state[0], state[3]
+        while stack:
+            arcs = in_arcs[stack.pop()]
+            cut.extend(arcs)
+            for a in arcs:
+                u = tail_of[a]
+                if sat[a] and not mask[u]:
+                    mask[u] = 1
+                    state[1] += 1
+                    stack.append(u)
+
     while active and sweeps < max_sweeps:
         sweeps += 1
         # pick terminal with the smallest zero-reachable component
-        best_t = None
-        best_comp: np.ndarray | None = None
-        best_size = 0
+        best: list | None = None
         for t in list(active):
-            comp = _reverse_zero_reachable(sap, t, rc, eps, rin_ptr, rin_arc, tails)
-            if comp[sap.root]:
+            state = comps.get(t)
+            if state is None:
+                state = comps[t] = [bytearray(sap.n), 1, len(events), []]
+                state[0][t] = 1
+                grow(state, [t])
+            elif state[2] < len(events):
+                mask, stack = state[0], []
+                for a in events[state[2] :]:
+                    u = tail_of[a]
+                    if not mask[u] and mask[head_of[a]]:
+                        mask[u] = 1
+                        state[1] += 1
+                        stack.append(u)
+                state[2] = len(events)
+                if stack:
+                    grow(state, stack)
+            if state[0][sap.root]:
                 active.remove(t)
                 continue
-            size = int(np.count_nonzero(comp))
-            if best_comp is None or size < best_size:
-                best_t, best_comp, best_size = t, comp, size
-        if best_comp is None:
+            if best is None or state[1] < best[1]:
+                best = state
+        if best is None:
             break
         # the cut: arcs entering the component from outside
-        entering = best_comp[heads] & ~best_comp[tails]
-        if not entering.any():
+        mask = best[0]
+        cut = best[3] = [a for a in best[3] if not mask[tail_of[a]]]
+        if not cut:
             # root genuinely unreachable: infinite bound (infeasible SPG)
             lb = math.inf
             break
-        delta = float(rc[entering].min())
+        delta = min(rc[a] for a in cut)
         if delta <= eps:
             # numerically saturated already; grow handled next sweep
             delta = 0.0
         lb += delta
         if delta > 0.0:
-            rc[entering] = np.maximum(rc[entering] - delta, 0.0)
+            for a in cut:
+                rc[a] = max(rc[a] - delta, 0.0)
+                if rc[a] <= eps:
+                    sat[a] = 1
+                    events.append(a)
         # re-test this terminal next round; rotate the queue for fairness
-        assert best_t is not None
         active.rotate(-1)
 
-    root_dist = _rc_dijkstra_forward(sap, rc)
-    term_dist = _rc_dijkstra_to_terminals(sap, rc)
-    saturated = rc <= eps
-    return DualAscentResult(lb, rc, root_dist, term_dist, saturated)
+    root_dist = _rc_dijkstra(sap.n, rc, [sap.root], head_of, sap.out_arcs)
+    term_dist = _rc_dijkstra(sap.n, rc, sap.sinks(), tail_of, in_arcs)
+    rc_arr = np.array(rc, dtype=float)
+    return DualAscentResult(lb, rc_arr, root_dist, term_dist, rc_arr <= eps)
 
 
 def _rc_dijkstra(
-    sap: SAPDigraph,
-    rc: np.ndarray,
-    sources: list[int],
-    ends: np.ndarray,
-    indptr: np.ndarray,
-    arc_order: np.ndarray,
+    n: int, rc: list[float], sources: list[int], ends: list[int], arcs_of: list[list[int]]
 ) -> np.ndarray:
-    """Heap Dijkstra with vectorized relaxation over an arc-CSR view."""
-    dist = np.full(sap.n, math.inf)
+    """Reduced-cost distances from ``sources`` along ``arcs_of[v]`` (out-arcs
+    with ``ends`` the heads, or in-arcs with ``ends`` the tails for the
+    distance *to* the nearest source)."""
+    dist = [math.inf] * n
     heap: list[tuple[float, int]] = []
     for s in sources:
         dist[s] = 0.0
         heapq.heappush(heap, (0.0, s))
-    push = heapq.heappush
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = pop(heap)
         if d > dist[v]:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            continue
-        arcs = arc_order[lo:hi]
-        ws = ends[arcs]
-        nd = d + rc[arcs]
-        for i in np.flatnonzero(nd < dist[ws] - 1e-12):
-            w = int(ws[i])
-            ndi = float(nd[i])
-            if ndi < dist[w] - 1e-12:  # parallel arcs within one slice
-                dist[w] = ndi
-                push(heap, (ndi, w))
-    return dist
-
-
-def _rc_dijkstra_forward(sap: SAPDigraph, rc: np.ndarray) -> np.ndarray:
-    tails = np.asarray(sap.arc_tail, dtype=np.int64)
-    heads = np.asarray(sap.arc_head, dtype=np.int64)
-    indptr, order = _arc_csr(tails, sap.n)
-    return _rc_dijkstra(sap, rc, [sap.root], heads, indptr, order)
-
-
-def _rc_dijkstra_to_terminals(sap: SAPDigraph, rc: np.ndarray) -> np.ndarray:
-    """Reduced-cost distance from each vertex to its nearest sink terminal
-    (multi-source Dijkstra on the reversed digraph)."""
-    tails = np.asarray(sap.arc_tail, dtype=np.int64)
-    heads = np.asarray(sap.arc_head, dtype=np.int64)
-    indptr, order = _arc_csr(heads, sap.n)
-    return _rc_dijkstra(sap, rc, sap.sinks(), tails, indptr, order)
+        for a in arcs_of[v]:
+            w = ends[a]
+            nd = d + rc[a]
+            if nd < dist[w] - 1e-12:
+                dist[w] = nd
+                push(heap, (nd, w))
+    return np.array(dist, dtype=float)

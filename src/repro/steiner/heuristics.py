@@ -2,8 +2,10 @@
 
 The shortest-path (Takahashi–Matsuyama, "TM") heuristic with repeated
 starts is SCIP-Jack's main constructive heuristic; during branch-and-cut
-it is re-run with LP-biased edge costs. ``local_search`` implements
-steiner-vertex insertion/elimination moves.
+it is re-run with LP-biased edge costs. Its searches run on plain lists,
+over one adjacency per call that already carries the biased costs and
+that all starts share. ``local_search`` implements steiner-vertex
+insertion/elimination moves.
 """
 
 from __future__ import annotations
@@ -31,6 +33,20 @@ def shortest_path_heuristic(
     terminal is unreachable. ``cost_override`` only biases the path
     search (LP guidance), never the reported cost.
     """
+    return _tm(graph, _search_rows(graph, cost_override), start)
+
+
+def _search_rows(graph: SteinerGraph, cost_override: dict[int, float] | None) -> list:
+    """``graph.neighbors(v)`` for every vertex, with ``cost_override``
+    already applied to the costs: the adjacency one TM search walks."""
+    if cost_override is None:
+        return [graph.neighbors(v) for v in range(graph.n)]
+    get = cost_override.get
+    return [[(w, eid, get(eid, c)) for w, eid, c in graph.neighbors(v)] for v in range(graph.n)]
+
+
+def _tm(graph: SteinerGraph, rows: list, start: int | None) -> tuple[list[int], float] | None:
+    """:func:`shortest_path_heuristic` over prepared search ``rows``."""
     terms = [int(t) for t in graph.terminals]
     if not terms:
         return [], 0.0
@@ -39,36 +55,35 @@ def shortest_path_heuristic(
     in_tree = {start}
     tree_edges: set[int] = set()
     unconnected = set(terms) - in_tree
+    push, pop = heapq.heappush, heapq.heappop
 
     while unconnected:
         # multi-source Dijkstra from the current tree
-        dist = np.full(graph.n, math.inf)
-        pred = np.full(graph.n, -1, dtype=np.int64)
+        dist = [math.inf] * graph.n
+        pred = [-1] * graph.n
         heap: list[tuple[float, int]] = []
         for v in in_tree:
             dist[v] = 0.0
-            heapq.heappush(heap, (0.0, v))
+            push(heap, (0.0, v))
         target: int | None = None
         while heap:
-            d, v = heapq.heappop(heap)
+            d, v = pop(heap)
             if d > dist[v]:
                 continue
             if v in unconnected:
                 target = v
                 break
-            for w, eid, cost in graph.neighbors(v):
-                if cost_override is not None:
-                    cost = cost_override.get(eid, cost)
+            for w, eid, cost in rows[v]:
                 nd = d + cost
                 if nd < dist[w] - 1e-12:
                     dist[w] = nd
                     pred[w] = eid
-                    heapq.heappush(heap, (nd, w))
+                    push(heap, (nd, w))
         if target is None:
             return None
         v = target
         while pred[v] >= 0 and v not in in_tree:
-            eid = int(pred[v])
+            eid = pred[v]
             tree_edges.add(eid)
             in_tree.add(v)
             v = graph.edges[eid].other(v)
@@ -95,7 +110,8 @@ def repeated_shortest_path_heuristic(
     seed: int = 0,
     cost_override: dict[int, float] | None = None,
 ) -> tuple[list[int], float] | None:
-    """TM from several start terminals (and random non-terminals); best kept."""
+    """TM from several start terminals (and random non-terminals); best kept.
+    The starts share one search adjacency."""
     terms = [int(t) for t in graph.terminals]
     if not terms:
         return [], 0.0
@@ -105,9 +121,10 @@ def repeated_shortest_path_heuristic(
     if len(alive) and n_starts > len(starts):
         extra = rng.choice(alive, size=min(n_starts - len(starts), len(alive)), replace=False)
         starts.extend(int(v) for v in extra)
+    rows = _search_rows(graph, cost_override)
     best: tuple[list[int], float] | None = None
     for s in starts:
-        res = shortest_path_heuristic(graph, s, cost_override)
+        res = _tm(graph, rows, s)
         if res is not None and (best is None or res[1] < best[1] - 1e-12):
             best = res
     return best

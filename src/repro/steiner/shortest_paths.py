@@ -151,6 +151,23 @@ def radius_lower_bound(graph: SteinerGraph) -> float:
     return float(finite.sum())
 
 
+class CsrRows(dict):
+    """The rows of ``graph.csr()`` as lists of ``(neighbor, cost, edge id)``,
+    each converted on first use: the same neighbours in the same order,
+    read without numpy scalars.  Valid while the graph is unchanged, or
+    while the caller skips the edges it deleted since."""
+
+    def __init__(self, graph: SteinerGraph) -> None:
+        super().__init__()
+        self.csr = graph.csr()
+
+    def __missing__(self, v: int) -> list[tuple[int, float, int]]:
+        indptr, nbr, eids, costs = self.csr
+        lo, hi = indptr[v], indptr[v + 1]
+        row = self[v] = list(zip(nbr[lo:hi].tolist(), costs[lo:hi].tolist(), eids[lo:hi].tolist()))
+        return row
+
+
 def bottleneck_steiner_distance(
     graph: SteinerGraph,
     u: int,
@@ -167,6 +184,21 @@ def bottleneck_steiner_distance(
     engineering compromise (exact SD is itself NP-hard to use fully).
     Returns a dict of reachable vertex -> upper bound on the SD.
     """
+    terminal = (graph.terminal_mask & graph.vertex_alive).tolist()
+    return bottleneck_sd(CsrRows(graph), terminal, u, limit, max_visits, avoid)
+
+
+def bottleneck_sd(
+    rows: CsrRows,
+    terminal: list[bool],
+    u: int,
+    limit: float,
+    max_visits: int,
+    avoid: int | None = None,
+    dead: set[int] | frozenset[int] = frozenset(),
+) -> dict[int, float]:
+    """:func:`bottleneck_steiner_distance` over prepared ``rows`` and
+    terminal flags, skipping the edge ids in ``dead``."""
     # Each label is (bottleneck, cur_segment): the max terminal-free segment
     # length over the path so far, and the length of the ongoing segment.
     # Settling at the first pop keeps every reported value the bottleneck of
@@ -175,28 +207,21 @@ def bottleneck_steiner_distance(
     heap: list[tuple[float, float, int]] = [(0.0, 0.0, u)]
     best_key: dict[int, float] = {u: 0.0}
     settled: set[int] = set()
-    indptr, nbr, _eids, costs = graph.csr()
-    push = heapq.heappush
+    push, pop = heapq.heappush, heapq.heappop
     inf = math.inf
     while heap and len(settled) < max_visits:
-        key, cur, v = heapq.heappop(heap)
+        key, cur, v = pop(heap)
         if v in settled:
             continue
         settled.add(v)
         sd[v] = key
         if v == avoid:
             continue
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            continue
-        seg_base = 0.0 if graph.is_terminal(v) and v != u else cur
-        # vectorized label arithmetic over the CSR slice; the heap pushes
-        # and dict filters stay scalar (tolist beats numpy scalar indexing)
-        new_curs = (seg_base + costs[lo:hi]).tolist()
-        ws = nbr[lo:hi].tolist()
-        for w, new_cur in zip(ws, new_curs):
-            if w == avoid or w in settled:
+        seg_base = 0.0 if terminal[v] and v != u else cur
+        for w, cost, eid in rows[v]:
+            if w == avoid or w in settled or eid in dead:
                 continue
+            new_cur = seg_base + cost
             new_key = new_cur if new_cur > key else key
             if new_key > limit:
                 continue

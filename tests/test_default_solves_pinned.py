@@ -9,7 +9,9 @@ PUC hypercubes decided by branch-and-cut (``stp_bnb``), perturbed-cost
 zoo graphs settled at the root by reductions (``stp_presolve``), and one
 MISDP per approach (``misdp``), plus a ledger ``mkp4`` base whose root
 cut loop asks for the same relaxation twice: the relaxator answers the
-repeat from its last result, so only one ADMM run is counted.  The
+repeat from its last result, so only one ADMM run is counted.  The first
+presolve layer is pinned on its own as well: ``reduce_graph`` on two
+``stp_presolve`` bases and one dual-ascent bound, to the last bit.  The
 parallel path is pinned too: the second presolve layer every ParaSolver
 runs on the subproblems it receives (``prepare(use_extended=True)``), and a
 two-rank SimEngine run shaped like the ledger's ``par_scaling`` ops.  A
@@ -29,9 +31,11 @@ from repro.instances import misdp as misdp_zoo
 from repro.instances import stp as stp_zoo
 from repro.sdp.instances import min_k_partitioning
 from repro.sdp.solver import MISDPSolver
+from repro.steiner.dual_ascent import dual_ascent
 from repro.steiner.instances import hypercube_instance
-from repro.steiner.reductions.pipeline import ReductionStats
+from repro.steiner.reductions.pipeline import ReductionStats, reduce_graph
 from repro.steiner.solver import SteinerSolver
+from repro.steiner.transformations import spg_to_sap
 from repro.ug import ug
 from repro.ug.config import UGConfig
 
@@ -80,6 +84,31 @@ def test_misdp_solve_counts(name, monkeypatch):
     assert res.objective == pytest.approx(objective, abs=1e-5)
     got = (res.nodes_processed, res.stats.lp_solves, res.stats.lp_iterations, *admm)
     assert got == (nodes, lp_solves, lp_iterations, relaxations, admm_iterations)
+
+
+#: ``stp_presolve`` base -> (ReductionStats, alive edges, fixed cost) of
+#: the layer-1 presolve: both are settled by the reductions alone
+LAYER1 = {
+    "orl75-0": (
+        ReductionStats(degree=20, terminal=15, sd=36, bound=145, rounds=3, by_round=[201, 12, 3]), 0, 57.0
+    ),
+    "hc6p-0": (ReductionStats(degree=18, terminal=32, sd=87, bound=51, rounds=2, by_round=[174, 14]), 0, 94.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LAYER1))
+def test_layer1_presolve_counts(key):
+    family, seed = key.split("-")
+    graph = inputs.STP_FAMILIES[family](int(seed))
+    stats = reduce_graph(graph)
+    assert (stats, len(graph.alive_edges()), graph.fixed_cost) == LAYER1[key]
+
+
+def test_dual_ascent_bound_bits():
+    """Float costs: the bound is a sum of many deltas, so any change in
+    the order of the ascent shows in its last bits."""
+    graph = stp_zoo.orlib_euclidean(n=40, n_terminals=8, seed=0)
+    assert repr(dual_ascent(spg_to_sap(graph)).lower_bound) == "1.6834753890171512"
 
 
 #: decisions -> (ReductionStats, alive edges) of the layer-2 presolve of hc5u
